@@ -11,6 +11,7 @@ Each benchmark talks to one in-process daemon over a real socket.
 import pytest
 
 from repro.service import ServerThread, ServiceClient, ServiceConfig
+from repro.service.server import SERVICE_STATS_VERSION
 from repro.workloads.suite import generate_benchmark
 
 
@@ -58,4 +59,4 @@ def test_samc_decompress_latency(benchmark, client, code):
 @pytest.mark.benchmark(group="service-roundtrip")
 def test_stats_endpoint_latency(benchmark, client):
     doc = benchmark(client.stats)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == SERVICE_STATS_VERSION

@@ -44,21 +44,7 @@ class ByteHuffmanCodec:
         table = build_code(Counter(code))
         encoder = HuffmanEncoder(table)
         blocks = []
-        if rec.enabled:
-            with rec.span("byte_huffman.encode"):
-                symbol_bits = 0
-                padding_bits = 0
-                for block in split_blocks(code, self.block_size):
-                    writer = BitWriter()
-                    encoder.encode_to(writer, list(block))
-                    payload = writer.getvalue()
-                    symbol_bits += writer.bit_length
-                    padding_bits += len(payload) * 8 - writer.bit_length
-                    blocks.append(payload)
-            rec.add_bits("symbols", symbol_bits)
-            if padding_bits:
-                rec.add_bits("padding", padding_bits)
-        else:
+        with rec.span("byte_huffman.encode"):
             for block in split_blocks(code, self.block_size):
                 writer = BitWriter()
                 encoder.encode_to(writer, list(block))
@@ -72,6 +58,12 @@ class ByteHuffmanCodec:
             metadata={"code": table},
         )
         if rec.enabled:
+            # Σ count × code length is the coded size of a Huffman stream.
+            symbol_bits = encoder.encoded_bits(code)
+            rec.add_bits("symbols", symbol_bits)
+            pad = image.payload_bytes * 8 - symbol_bits
+            if pad:
+                rec.add_bits("padding", pad)
             rec.add_bits("model", image.model_bytes * 8)
             rec.add_bits("lat", image.compact_lat.storage_bytes * 8)
             rec.count("byte_huffman.blocks_encoded", len(blocks))
@@ -109,10 +101,7 @@ class ByteHuffmanCodec:
 
             table = compile_decode_table(image.metadata["code"])
             if table is not None:
-                counts = [
-                    self._original_block_bytes(image, index)
-                    for index in indices
-                ]
+                counts = [image.original_block_size(i) for i in indices]
                 with decode_guard("byte_huffman.decompress_blocks"):
                     payloads = [
                         block_payload(image, index) for index in indices
@@ -126,20 +115,12 @@ class ByteHuffmanCodec:
         """Random-access decode of one cache block."""
         table: HuffmanCode = image.metadata["code"]
         decoder = HuffmanDecoder(table)
-        count = self._original_block_bytes(image, block_index)
+        count = image.original_block_size(block_index)
         with decode_guard("byte_huffman.decompress_block"):
             symbols = decoder.decode(block_payload(image, block_index), count)
             # bytes() rejects symbols outside [0, 255] — a corrupted table
             # can decode such a symbol, so keep the conversion guarded.
             return bytes(symbols)
-
-    def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:
-        full_blocks, tail = divmod(image.original_size, image.block_size)
-        if block_index < full_blocks:
-            return image.block_size
-        if block_index == full_blocks and tail:
-            return tail
-        raise IndexError(f"block {block_index} out of range")
 
 
 def byte_huffman_ratio(code: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> float:

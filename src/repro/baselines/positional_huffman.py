@@ -81,7 +81,7 @@ class PositionalHuffmanCodec:
         )
 
     def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
-        count = self._original_block_bytes(image, block_index)
+        count = image.original_block_size(block_index)
         with decode_guard("positional_huffman.decompress_block"):
             # Everything derived from the image is untrusted: a missing
             # metadata key, a truncated payload (BitReader EOF), or a
@@ -96,14 +96,6 @@ class PositionalHuffmanCodec:
                     decoders[index % self.word_bytes].decode_from(reader, 1)
                 )
             return bytes(out)
-
-    def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:
-        full_blocks, tail = divmod(image.original_size, image.block_size)
-        if block_index < full_blocks:
-            return image.block_size
-        if block_index == full_blocks and tail:
-            return tail
-        raise IndexError(f"block {block_index} out of range")
 
 
 def positional_huffman_ratio(

@@ -247,6 +247,26 @@ class CompressedImage:
     def block_count(self) -> int:
         return len(self.blocks)
 
+    def original_block_size(self, block_index: int) -> int:
+        """Uncompressed bytes of block ``block_index`` (the last may be short).
+
+        This is how many bytes (or symbols) a decoder must produce for
+        the block.  An index outside the program raises a
+        ``CATEGORY_BOUNDS`` :class:`CorruptedStreamError`, like the LAT
+        lookups.
+        """
+        full_blocks, tail = divmod(self.original_size, self.block_size)
+        if 0 <= block_index < full_blocks:
+            return self.block_size
+        if block_index == full_blocks and tail:
+            return tail
+        raise CorruptedStreamError(
+            f"block {block_index} outside the "
+            f"{original_block_count(self.original_size, self.block_size)} "
+            f"blocks of a {self.original_size}-byte program",
+            category=CATEGORY_BOUNDS,
+        )
+
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

@@ -347,52 +347,6 @@ class MipsSadcCodec:
                     encoders["imm26_lo"].encode_to(writer, [rec.imm26 & 0xFF])
         return writer.getvalue()
 
-    def _encode_block_instrumented(
-        self,
-        rec_obs,
-        dictionary: Dictionary,
-        codes: Dict[str, HuffmanCode],
-        block: Sequence[InstrRec],
-        tokens: Sequence[ParsedToken],
-    ) -> bytes:
-        """Obs-on variant of :meth:`_encode_block`: identical writes,
-        with ``writer.bit_length`` deltas charged per stream (the two
-        immediate halves fold into ``imm16`` / ``imm26``)."""
-        writer = BitWriter()
-        encoders = {name: HuffmanEncoder(code) for name, code in codes.items()}
-        per_stream = {"tokens": 0, "regs": 0, "imm16": 0, "imm26": 0}
-
-        def write(stream: str, encoder_name: str, symbol: int) -> None:
-            before = writer.bit_length
-            encoders[encoder_name].encode_to(writer, [symbol])
-            per_stream[stream] += writer.bit_length - before
-
-        for index, pos in tokens:
-            write("tokens", "tokens", index)
-            entry = dictionary.entries[index]
-            for j in range(entry.length):
-                instr = block[pos + j]
-                for slot, value in enumerate(instr.regs):
-                    if entry.reg_binding(j, slot) is None:
-                        write("regs", "regs", value)
-                if instr.imm16 is not None and entry.imm16_binding(j) is None:
-                    write("imm16", "imm16_hi", instr.imm16 >> 8)
-                    write("imm16", "imm16_lo", instr.imm16 & 0xFF)
-                if instr.imm26 is not None and entry.imm26_binding(j) is None:
-                    write("imm26", "imm26_hi", instr.imm26 >> 16)
-                    write("imm26", "imm26_lo", (instr.imm26 >> 8) & 0xFF)
-                    write("imm26", "imm26_lo", instr.imm26 & 0xFF)
-        payload = writer.getvalue()
-        for stream, bits in per_stream.items():
-            if bits:
-                rec_obs.add_bits(stream, bits)
-        pad = len(payload) * 8 - writer.bit_length
-        if pad:
-            rec_obs.add_bits("padding", pad)
-        rec_obs.count("sadc.tokens_emitted", len(tokens))
-        rec_obs.count("sadc.blocks_encoded")
-        return payload
-
     def _table_bits(self, codes: Dict[str, HuffmanCode]) -> int:
         widths = {
             "tokens": 8,
@@ -439,15 +393,7 @@ class MipsSadcCodec:
         parses = [parse_block(dictionary, block) for block in blocks]
         counters = self._collect_symbols(dictionary, blocks, parses)
         codes = {name: build_code(counter) for name, counter in counters.items()}
-        if rec.enabled:
-            with rec.span("sadc.encode", isa="mips"):
-                payload = [
-                    self._encode_block_instrumented(
-                        rec, dictionary, codes, block, tokens
-                    )
-                    for block, tokens in zip(blocks, parses)
-                ]
-        else:
+        with rec.span("sadc.encode", isa="mips"):
             payload = [
                 self._encode_block(dictionary, codes, block, tokens)
                 for block, tokens in zip(blocks, parses)
@@ -466,6 +412,21 @@ class MipsSadcCodec:
             },
         )
         if rec.enabled:
+            # Huffman streams: Σ count × code length is the coded size.
+            # The immediate halves fold into ``imm16`` / ``imm26``.
+            stream_bits: Counter = Counter()
+            for name, counter in counters.items():
+                bits = HuffmanEncoder(codes[name]).encoded_bits(counter.elements())
+                stream_bits[name.partition("_")[0]] += bits
+            for stream, bits in stream_bits.items():
+                if bits:
+                    rec.add_bits(stream, bits)
+            pad = image.payload_bytes * 8 - sum(stream_bits.values())
+            if pad:
+                rec.add_bits("padding", pad)
+            if payload:  # an empty program encodes no blocks
+                rec.count("sadc.tokens_emitted", sum(map(len, parses)))
+                rec.count("sadc.blocks_encoded", len(payload))
             rec.add_bits("model.dictionary", dictionary.storage_bits)
             rec.add_bits("model.tables", self._table_bits(codes))
             model_pad = image.model_bytes * 8 - model_bits
@@ -487,10 +448,9 @@ class MipsSadcCodec:
     ) -> List[bytes]:
         """Random-access expansion of a batch of cache blocks.
 
-        Identical output to the per-block loop; the batch form builds
-        the stream Huffman decoders once for the whole batch instead of
-        once per block (they are read-only during decode, so sharing is
-        safe).
+        The one decode loop (:meth:`decompress_block` is a batch of
+        one).  The stream Huffman decoders are built once per batch;
+        they are read-only during decode, so sharing is safe.
         """
         indices = list(indices)
         if not indices:
@@ -500,7 +460,7 @@ class MipsSadcCodec:
         decoders = {name: HuffmanDecoder(code) for name, code in codes.items()}
         out: List[bytes] = []
         for block_index in indices:
-            expected = self._original_block_bytes(image, block_index) // 4
+            expected = image.original_block_size(block_index) // 4
             with decode_guard("sadc.mips.decompress_block"):
                 reader = BitReader(block_payload(image, block_index), pad=False)
                 out.append(self._decode_words(
@@ -510,16 +470,7 @@ class MipsSadcCodec:
 
     def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
         """Random-access expansion of one cache block."""
-        dictionary: Dictionary = image.metadata["dictionary"]
-        codes: Dict[str, HuffmanCode] = image.metadata["codes"]
-        decoders = {name: HuffmanDecoder(code) for name, code in codes.items()}
-        block_bytes = self._original_block_bytes(image, block_index)
-        expected = block_bytes // 4
-        with decode_guard("sadc.mips.decompress_block"):
-            reader = BitReader(block_payload(image, block_index), pad=False)
-            return self._decode_words(
-                reader, dictionary, decoders, expected, block_index
-            )
+        return self.decompress_blocks(image, [block_index])[0]
 
     def _decode_words(
         self,
@@ -573,11 +524,3 @@ class MipsSadcCodec:
                 f"boundary ({len(words)} != {expected} instructions)"
             )
         return words_to_bytes(words, 4)
-
-    def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:
-        full_blocks, tail = divmod(image.original_size, image.block_size)
-        if block_index < full_blocks:
-            return image.block_size
-        if block_index == full_blocks and tail:
-            return tail
-        raise IndexError(f"block {block_index} out of range")

@@ -24,7 +24,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bitstream.io import BitReader, BitWriter
-from repro.core.lat import CompressedImage
+from repro.core.lat import CompressedImage, original_block_count
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -140,7 +140,7 @@ class X86SadcCodec:
     def _decode_blocks(self, code: bytes) -> List[List[X86Instruction]]:
         """Instructions grouped by the block where each one starts."""
         instructions = decode_all(code)
-        block_count = max(1, (len(code) + self.block_size - 1) // self.block_size)
+        block_count = max(1, original_block_count(len(code), self.block_size))
         blocks: List[List[X86Instruction]] = [[] for _ in range(block_count)]
         offset = 0
         for instruction in instructions:
@@ -205,44 +205,6 @@ class X86SadcCodec:
 
     # -- coding -----------------------------------------------------------
 
-    def _encode_block_instrumented(self, rec, codes, block, tokens) -> bytes:
-        """Obs-on block encode: identical writes to the inline loop in
-        :meth:`compress`, with ``writer.bit_length`` deltas charged to
-        the ``tokens`` / ``modrm_sib`` / ``imm_disp`` streams."""
-        writer = BitWriter()
-        token_encoder = HuffmanEncoder(codes["tokens"])
-        modrm_encoder = HuffmanEncoder(codes["modrm_sib"])
-        imm_encoder = HuffmanEncoder(codes["imm_disp"])
-        mark = writer.bit_length
-        token_encoder.encode_to(writer, tokens)
-        token_bits = writer.bit_length - mark
-        modrm_bits = 0
-        imm_bits = 0
-        for instruction in block:
-            mark = writer.bit_length
-            if instruction.modrm is not None:
-                modrm_encoder.encode_to(writer, [instruction.modrm])
-            if instruction.sib is not None:
-                modrm_encoder.encode_to(writer, [instruction.sib])
-            modrm_bits += writer.bit_length - mark
-            mark = writer.bit_length
-            imm_encoder.encode_to(writer, list(instruction.disp))
-            imm_encoder.encode_to(writer, list(instruction.imm))
-            imm_bits += writer.bit_length - mark
-        payload = writer.getvalue()
-        if token_bits:
-            rec.add_bits("tokens", token_bits)
-        if modrm_bits:
-            rec.add_bits("modrm_sib", modrm_bits)
-        if imm_bits:
-            rec.add_bits("imm_disp", imm_bits)
-        pad = len(payload) * 8 - writer.bit_length
-        if pad:
-            rec.add_bits("padding", pad)
-        rec.count("sadc.tokens_emitted", len(tokens))
-        rec.count("sadc.blocks_encoded")
-        return payload
-
     def compress(self, code: bytes) -> CompressedImage:
         rec = get_recorder()
         blocks = self._decode_blocks(code)
@@ -273,19 +235,13 @@ class X86SadcCodec:
             "imm_disp": build_code(imm_counts),
         }
 
-        if rec.enabled:
-            with rec.span("sadc.encode", isa="x86"):
-                payload = [
-                    self._encode_block_instrumented(rec, codes, block, tokens)
-                    for block, tokens in zip(blocks, parses)
-                ]
-        else:
-            payload = []
+        token_encoder = HuffmanEncoder(codes["tokens"])
+        modrm_encoder = HuffmanEncoder(codes["modrm_sib"])
+        imm_encoder = HuffmanEncoder(codes["imm_disp"])
+        payload = []
+        with rec.span("sadc.encode", isa="x86"):
             for block, tokens in zip(blocks, parses):
                 writer = BitWriter()
-                token_encoder = HuffmanEncoder(codes["tokens"])
-                modrm_encoder = HuffmanEncoder(codes["modrm_sib"])
-                imm_encoder = HuffmanEncoder(codes["imm_disp"])
                 token_encoder.encode_to(writer, tokens)
                 for instruction in block:
                     if instruction.modrm is not None:
@@ -316,6 +272,20 @@ class X86SadcCodec:
             },
         )
         if rec.enabled:
+            # Huffman streams: Σ count × code length is the coded size.
+            stream_bits = {
+                "tokens": token_encoder.encoded_bits(token_counts.elements()),
+                "modrm_sib": modrm_encoder.encoded_bits(modrm_counts.elements()),
+                "imm_disp": imm_encoder.encoded_bits(imm_counts.elements()),
+            }
+            for stream, bits in stream_bits.items():
+                if bits:
+                    rec.add_bits(stream, bits)
+            pad = image.payload_bytes * 8 - sum(stream_bits.values())
+            if pad:
+                rec.add_bits("padding", pad)
+            rec.count("sadc.tokens_emitted", sum(map(len, parses)))
+            rec.count("sadc.blocks_encoded", len(payload))
             rec.add_bits("model.dictionary", dictionary.storage_bits)
             rec.add_bits("model.tables", model_bits - dictionary.storage_bits)
             model_pad = image.model_bytes * 8 - model_bits

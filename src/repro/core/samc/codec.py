@@ -143,36 +143,34 @@ class SamcCodec:
             for depth in range(spec.k)
         ]
 
-    def _encode_block_instrumented(self, model: SamcModel, block_words) -> bytes:
-        """Reference encode of one block with per-(stream, depth) bit
-        attribution.  Byte-identical to the plain path: the only change
-        is measuring ``bytes_emitted`` around each coded bit."""
-        rec = get_recorder()
-        encoder = BinaryArithmeticEncoder()
+    def _encode_reference(self, model: SamcModel, code: bytes, rec) -> List[bytes]:
+        """The reference encoder: one arithmetic-coded payload per block.
+
+        With telemetry on, bits are emitted through
+        :func:`_counting_emit` and each block's flush bytes are charged
+        to ``flush``; the coded output is the same either way.
+        """
         labels = self._bit_labels(model)
-        n_labels = len(labels)
         per_label: dict = {}
-        state = [0]  # bit index within the block walk
-
-        def emit(bit: int, p0_q: int) -> None:
-            before = encoder.bytes_emitted
-            encoder.encode_bit(bit, p0_q)
-            delta = encoder.bytes_emitted - before
-            if delta:
-                label = labels[state[0] % n_labels]
-                per_label[label] = per_label.get(label, 0) + delta * 8
-            state[0] += 1
-
-        model.walk_encode(block_words, emit)
-        coded = encoder.bytes_emitted
-        payload = encoder.finish()
-        for (stream, depth), bits in sorted(per_label.items()):
-            rec.add_bits(f"stream{stream}", bits)
-            rec.count(f"samc.stream{stream}.depth{depth}.bits", bits)
-        rec.add_bits("flush", (len(payload) - coded) * 8)
-        rec.count("samc.blocks_encoded")
-        rec.count("samc.words_encoded", len(block_words))
-        return payload
+        flush_bits = 0
+        blocks: List[bytes] = []
+        for block_words in self._block_words(code):
+            encoder = BinaryArithmeticEncoder()
+            emit = encoder.encode_bit
+            if rec.enabled:
+                emit = _counting_emit(encoder, labels, per_label)
+            model.walk_encode(block_words, emit)
+            coded = encoder.bytes_emitted
+            blocks.append(encoder.finish())
+            flush_bits += (len(blocks[-1]) - coded) * 8
+        if rec.enabled and blocks:
+            for (stream, depth), bits in sorted(per_label.items()):
+                rec.add_bits(f"stream{stream}", bits)
+                rec.count(f"samc.stream{stream}.depth{depth}.bits", bits)
+            rec.add_bits("flush", flush_bits)
+            rec.count("samc.blocks_encoded", len(blocks))
+            rec.count("samc.words_encoded", len(code) // self.word_bytes)
+        return blocks
 
     def train(self, code: bytes) -> SamcModel:
         """First pass: build and freeze the Markov model for a program."""
@@ -239,18 +237,9 @@ class SamcCodec:
                     chunk_words(code, self.word_bytes),
                     self.block_size // self.word_bytes,
                 )
-        elif rec.enabled:
-            with rec.span("samc.encode", path="reference"):
-                blocks = [
-                    self._encode_block_instrumented(model, block_words)
-                    for block_words in self._block_words(code)
-                ]
         else:
-            blocks = []
-            for block_words in self._block_words(code):
-                encoder = BinaryArithmeticEncoder()
-                model.walk_encode(block_words, encoder.encode_bit)
-                blocks.append(encoder.finish())
+            with rec.span("samc.encode", path="reference"):
+                blocks = self._encode_reference(model, code, rec)
         image = CompressedImage(
             algorithm="SAMC",
             original_size=len(code),
@@ -308,7 +297,7 @@ class SamcCodec:
 
         model: SamcModel = image.metadata["model"]
         word_counts = [
-            self._original_block_bytes(image, index) // self.word_bytes
+            image.original_block_size(index) // self.word_bytes
             for index in indices
         ]
         rec = get_recorder()
@@ -332,8 +321,7 @@ class SamcCodec:
         (located via the LAT) and the shared model are consulted.
         """
         model: SamcModel = image.metadata["model"]
-        block_bytes = self._original_block_bytes(image, block_index)
-        word_count = block_bytes // self.word_bytes
+        word_count = image.original_block_size(block_index) // self.word_bytes
         rec = get_recorder()
         with rec.span("samc.decode_block"), \
                 decode_guard("samc.decompress_block"):
@@ -350,20 +338,36 @@ class SamcCodec:
             rec.count("samc.words_decoded", word_count)
         return words_to_bytes(words, self.word_bytes)
 
-    def _original_block_bytes(self, image: CompressedImage, block_index: int) -> int:
-        full_blocks, tail = divmod(image.original_size, image.block_size)
-        if block_index < full_blocks:
-            return image.block_size
-        if block_index == full_blocks and tail:
-            return tail
-        raise IndexError(f"block {block_index} out of range")
-
     def _check_word_aligned(self, code: bytes) -> None:
         if len(code) % self.word_bytes != 0:
             raise ValueError(
                 f"code length {len(code)} is not a multiple of the "
                 f"{self.word_bytes}-byte word size"
             )
+
+
+def _counting_emit(encoder: BinaryArithmeticEncoder, labels, per_label: dict):
+    """``encoder.encode_bit`` that also charges the renormalisation bytes
+    each coded bit forces, as bits, to its label in ``per_label``.
+
+    ``labels`` is the per-word coding order from
+    :meth:`SamcCodec._bit_labels`; bit ``i`` of a block's walk carries
+    ``labels[i % len(labels)]``.
+    """
+    encode_bit = encoder.encode_bit
+    position = 0
+
+    def emit(bit: int, p0_q: int) -> None:
+        nonlocal position
+        before = encoder.bytes_emitted
+        encode_bit(bit, p0_q)
+        emitted = encoder.bytes_emitted - before
+        if emitted:
+            label = labels[position % len(labels)]
+            per_label[label] = per_label.get(label, 0) + emitted * 8
+        position += 1
+
+    return emit
 
 
 def samc_compress(code: bytes, **kwargs) -> CompressedImage:

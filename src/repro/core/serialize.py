@@ -468,8 +468,8 @@ def _deserialize_archive(data: bytes) -> CompressedImage:
     n_blocks = reader.u32()
     reader.check_budget(n_blocks, 2, "block size table")
     # The block count is implied by the header: a forged count would
-    # send block decoders past the original image (raw IndexError) or
-    # silently drop blocks.  Enforce consistency at this boundary.
+    # send block decoders past the original image or silently drop
+    # blocks.  Enforce consistency at this boundary.
     if block_size == 0:
         raise SerializationError(
             "block size is zero", category=CATEGORY_STRUCTURE

@@ -201,7 +201,7 @@ class HuffmanEncoder:
         self.encode_to(writer, symbols)
         return writer.getvalue()
 
-    def encoded_bits(self, symbols: Sequence[int]) -> int:
+    def encoded_bits(self, symbols: Iterable[int]) -> int:
         """Exact coded length in bits without materialising the stream."""
         lengths = self._code.lengths
         return sum(lengths[s] for s in symbols)

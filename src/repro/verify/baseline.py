@@ -1,10 +1,12 @@
 """Accepted-finding baseline for ``repro check``.
 
 The whole-program analyses are deliberately strict; some findings they
-surface are *accepted* — a raw ``IndexError`` on an out-of-range block
-index is a documented caller contract, not a wire-data leak.  Rather
-than sprinkle permanent ``noqa`` comments on code that is working as
-intended, those findings live in a committed baseline file
+surface are *accepted* — not yet fixed or disproved, but not allowed to
+hide either.  For example, the call graph's name-match fallback can
+link a decode entry to an encoder's ``KeyError``; until the edge is
+shown to be real (and the call fixed) or the graph is made precise,
+the finding stays visible.  Rather than a permanent ``noqa`` comment,
+such findings live in a committed baseline file
 (``.repro-check-baseline.json``): CI fails on any finding *not* in the
 baseline, and a baseline entry that no longer matches anything is
 reported as stale so the file can only shrink.

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro.baselines.byte_huffman import ByteHuffmanCodec, byte_huffman_ratio
+from repro.baselines.positional_huffman import PositionalHuffmanCodec
+from repro.core.sadc.mips import MipsSadcCodec
 from repro.entropy.stats import entropy_bits, frequencies
+from repro.resilience.errors import CATEGORY_BOUNDS, CorruptedStreamError
 
 
 class TestRoundtrip:
@@ -29,10 +32,15 @@ class TestRoundtrip:
         assert codec.decompress_block(image, index) == want
 
     def test_block_out_of_range(self, mips_program):
-        codec = ByteHuffmanCodec()
-        image = codec.compress(mips_program)
-        with pytest.raises(IndexError):
-            codec.decompress_block(image, image.block_count())
+        # These codecs size their blocks through the image, so each
+        # rejects an index past the program with the same typed error.
+        for codec in (
+            ByteHuffmanCodec(), PositionalHuffmanCodec(), MipsSadcCodec()
+        ):
+            image = codec.compress(mips_program)
+            with pytest.raises(CorruptedStreamError) as raised:
+                codec.decompress_block(image, image.block_count())
+            assert raised.value.category == CATEGORY_BOUNDS
 
 
 class TestRatios:

@@ -101,6 +101,88 @@ class TestExactAccounting:
             assert sum(bits[scope].values()) == result.bytes_out * 8
 
 
+#: SAMC ``samc.stream{row}.depth{column}.bits`` for the pinned program.
+_SAMC_DEPTH_BITS = (
+    (152, 88, 112, 80, 56, 32, 120, 112),
+    (112, 128, 96, 136, 104, 24, 64, 32),
+    (128, 64, 8, 88, 40, 16, 8, 80),
+    (120, 104, 120, 144, 136, 144, 96, 64),
+)
+
+#: (codec, program) -> (bit categories, counters), the same under both
+#: coder paths.  "small" is ``mgrid`` at scale 0.05, seed 3: its one
+#: jump fills the MIPS ``imm26`` stream.  The empty program keeps each
+#: codec's edge cases: MIPS SADC has no blocks and so no
+#: ``sadc.tokens_emitted``, x86 SADC encodes one empty block, and
+#: byte-Huffman records ``symbols: 0``.
+PINNED_TELEMETRY = {
+    ("SAMC", "small"): (
+        {"flush": 192, "lat": 152, "model": 16480, "stream0": 752,
+         "stream1": 696, "stream2": 432, "stream3": 928},
+        {
+            "samc.blocks_encoded": 24,
+            "samc.words_encoded": 191,
+            **{
+                f"samc.stream{stream}.depth{depth}.bits": bits
+                for stream, row in enumerate(_SAMC_DEPTH_BITS)
+                for depth, bits in enumerate(row)
+            },
+        },
+    ),
+    ("SAMC", "empty"): ({"lat": 0, "model": 16480}, {}),
+    ("SADC-mips", "small"): (
+        {"imm16": 376, "imm26": 3, "lat": 152, "model.dictionary": 1482,
+         "model.pad": 4, "model.tables": 1226, "padding": 73,
+         "regs": 1286, "tokens": 750},
+        {"sadc.blocks_encoded": 24, "sadc.tokens_emitted": 143},
+    ),
+    ("SADC-mips", "empty"): (
+        {"lat": 0, "model.dictionary": 0, "model.tables": 0}, {},
+    ),
+    ("SADC-x86", "small"): (
+        {"imm_disp": 492, "lat": 72, "model.dictionary": 620,
+         "model.pad": 4, "model.tables": 728, "modrm_sib": 458,
+         "padding": 56, "tokens": 282},
+        {"sadc.blocks_encoded": 14, "sadc.tokens_emitted": 72},
+    ),
+    ("SADC-x86", "empty"): (
+        {"lat": 8, "model.dictionary": 0, "model.tables": 0},
+        {"sadc.blocks_encoded": 1, "sadc.tokens_emitted": 0},
+    ),
+    ("byte-huffman", "small"): (
+        {"lat": 152, "model": 1184, "padding": 70, "symbols": 4210},
+        {"byte_huffman.blocks_encoded": 24},
+    ),
+    ("byte-huffman", "empty"): (
+        {"lat": 0, "model": 0, "symbols": 0},
+        {"byte_huffman.blocks_encoded": 0},
+    ),
+}
+
+_PINNED_CODECS = {
+    "SAMC": ("mips", samc_compress),
+    "SADC-mips": ("mips", lambda code: MipsSadcCodec().compress(code)),
+    "SADC-x86": ("x86", lambda code: X86SadcCodec().compress(code)),
+    "byte-huffman": ("mips", lambda code: ByteHuffmanCodec().compress(code)),
+}
+
+
+@pytest.mark.parametrize("fastpath", ["0", "1"])
+@pytest.mark.parametrize("codec, program", sorted(PINNED_TELEMETRY))
+def test_pinned_bit_split(monkeypatch, fastpath, codec, program):
+    """The full per-category split and codec counters, not just totals."""
+    monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+    isa, compress = _PINNED_CODECS[codec]
+    code = b""
+    if program == "small":
+        code = generate_benchmark("mgrid", isa, scale=0.05, seed=3).code
+    with obs_session() as rec:
+        compress(code)
+        snapshot = rec.snapshot()
+    got = (snapshot["bits"][""], snapshot["counters"])
+    assert got == PINNED_TELEMETRY[codec, program]
+
+
 @pytest.mark.parametrize("fastpath", ["0", "1"])
 class TestByteIdentity:
     """Telemetry on vs off produces bit-identical compressed output."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.samc.codec import SamcCodec, samc_compress, samc_decompress
+from repro.resilience.errors import CATEGORY_BOUNDS, CorruptedStreamError
 
 
 class TestConfiguration:
@@ -97,8 +98,9 @@ class TestRandomAccess:
     def test_block_index_out_of_range(self, mips_program):
         codec = SamcCodec.for_mips()
         image = codec.compress(mips_program)
-        with pytest.raises(IndexError):
+        with pytest.raises(CorruptedStreamError) as raised:
             codec.decompress_block(image, image.block_count())
+        assert raised.value.category == CATEGORY_BOUNDS
 
 
 class TestCompressionQuality:
