@@ -108,74 +108,54 @@ def gzipish_compress(data: bytes) -> bytes:
 
     litlen_code = build_code(litlen_counts)
     dist_code = build_code(dist_counts)
+    writer = BitWriter()
+    _write_table(writer, litlen_code.lengths, 286)
+    _write_table(writer, dist_code.lengths, 30)
+    litlen_encoder = HuffmanEncoder(litlen_code)
+    dist_encoder = HuffmanEncoder(dist_code)
+    for kind, payload in coded:
+        if kind == "lit":
+            litlen_encoder.encode_to(writer, [payload[0]])
+        else:
+            symbol, extra, value, dsymbol, dextra, dvalue = payload
+            litlen_encoder.encode_to(writer, [symbol])
+            if extra:
+                writer.write_bits(value, extra)
+            dist_encoder.encode_to(writer, [dsymbol])
+            if dextra:
+                writer.write_bits(dvalue, dextra)
+    litlen_encoder.encode_to(writer, [END_OF_BLOCK])
+    out = writer.getvalue()
     rec = get_recorder()
     if rec.enabled:
-        return _emit_instrumented(rec, coded, litlen_code, dist_code)
-    writer = BitWriter()
-    _write_table(writer, litlen_code.lengths, 286)
-    _write_table(writer, dist_code.lengths, 30)
-    litlen_encoder = HuffmanEncoder(litlen_code)
-    dist_encoder = HuffmanEncoder(dist_code)
-    for kind, payload in coded:
-        if kind == "lit":
-            litlen_encoder.encode_to(writer, [payload[0]])
-        else:
-            symbol, extra, value, dsymbol, dextra, dvalue = payload
-            litlen_encoder.encode_to(writer, [symbol])
-            if extra:
-                writer.write_bits(value, extra)
-            dist_encoder.encode_to(writer, [dsymbol])
-            if dextra:
-                writer.write_bits(dvalue, dextra)
-    litlen_encoder.encode_to(writer, [END_OF_BLOCK])
-    return writer.getvalue()
-
-
-def _emit_instrumented(rec, coded, litlen_code, dist_code) -> bytes:
-    """Obs-on emit: the same writes as the loop in
-    :func:`gzipish_compress`, with ``writer.bit_length`` deltas charged
-    to tables / literals / match_lengths / match_distances / eob."""
-    writer = BitWriter()
-    _write_table(writer, litlen_code.lengths, 286)
-    _write_table(writer, dist_code.lengths, 30)
-    table_bits = writer.bit_length
-    litlen_encoder = HuffmanEncoder(litlen_code)
-    dist_encoder = HuffmanEncoder(dist_code)
-    literal_bits = 0
-    length_bits = 0
-    distance_bits = 0
-    for kind, payload in coded:
-        if kind == "lit":
-            mark = writer.bit_length
-            litlen_encoder.encode_to(writer, [payload[0]])
-            literal_bits += writer.bit_length - mark
-        else:
-            symbol, extra, value, dsymbol, dextra, dvalue = payload
-            mark = writer.bit_length
-            litlen_encoder.encode_to(writer, [symbol])
-            if extra:
-                writer.write_bits(value, extra)
-            length_bits += writer.bit_length - mark
-            mark = writer.bit_length
-            dist_encoder.encode_to(writer, [dsymbol])
-            if dextra:
-                writer.write_bits(dvalue, dextra)
-            distance_bits += writer.bit_length - mark
-    mark = writer.bit_length
-    litlen_encoder.encode_to(writer, [END_OF_BLOCK])
-    eob_bits = writer.bit_length - mark
-    out = writer.getvalue()
-    rec.add_bits("tables", table_bits)
-    if literal_bits:
-        rec.add_bits("literals", literal_bits)
-    if length_bits:
-        rec.add_bits("match_lengths", length_bits)
-    if distance_bits:
-        rec.add_bits("match_distances", distance_bits)
-    rec.add_bits("eob", eob_bits)
-    pad = len(out) * 8 - writer.bit_length
-    if pad:
-        rec.add_bits("padding", pad)
+        # Each Huffman stream costs sum(count * code length); matches
+        # add their raw extra bits.
+        lengths = litlen_code.lengths
+        literal_bits = length_bits = 0
+        for symbol, count in litlen_counts.items():
+            if symbol < END_OF_BLOCK:
+                literal_bits += count * lengths[symbol]
+            elif symbol > END_OF_BLOCK:
+                length_bits += count * lengths[symbol]
+        distance_bits = sum(
+            count * dist_code.lengths[symbol]
+            for symbol, count in dist_counts.items()
+        )
+        for kind, payload in coded:
+            if kind == "match":
+                length_bits += payload[1]
+                distance_bits += payload[4]
+        rec.add_bits("tables", 5 * (286 + 30))
+        if literal_bits:
+            rec.add_bits("literals", literal_bits)
+        if length_bits:
+            rec.add_bits("match_lengths", length_bits)
+        if distance_bits:
+            rec.add_bits("match_distances", distance_bits)
+        rec.add_bits("eob", lengths[END_OF_BLOCK])
+        pad = len(out) * 8 - writer.bit_length
+        if pad:
+            rec.add_bits("padding", pad)
     return out
 
 

@@ -598,12 +598,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive a running daemon with a paced mixed workload.
 
-    Exit 1 when the wire contract broke (any protocol error), when
-    ``--min-rps`` was given and achieved throughput fell below it, or
-    when an SLO gate (``--slo-p99-ms`` / ``--max-error-rate``) was
-    breached.  ``--stats-json`` writes the full machine-readable report
-    (client percentiles plus the daemon's post-run stats document) for
-    CI artifacts.
+    Exit 1 on any SLO breach — a transport failure (connection fault or
+    timeout) always is one, ``--slo-p99-ms`` / ``--max-error-rate`` add
+    their gates — or when ``--min-rps`` was given and achieved
+    throughput fell below it.  ``--stats-json`` writes the full
+    machine-readable report (client percentiles plus the daemon's
+    post-run stats document) for CI artifacts.
     """
     from repro.service.client import wait_for_service
     from repro.service.loadgen import (
@@ -645,28 +645,22 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             print_lines(report.format_lines(), empty="loadgen: nothing sent")
     if args.stats_json is not None:
         write_stats_json(report, args.stats_json)
+    breaches = slo_breaches(
+        report,
+        p99_ms=args.slo_p99_ms,
+        max_error_rate=args.max_error_rate,
+    )
+    for breach in breaches:
+        print(f"SLO breach: {breach}", file=sys.stderr)
     status = report_failures(
-        report.protocol_errors,
-        f"loadgen: {report.protocol_errors} protocol error(s) — "
-        "the wire contract must hold under load",
+        len(breaches),
+        f"loadgen: {len(breaches)} SLO breach(es)",
     )
     if args.min_rps is not None and report.achieved_rps < args.min_rps:
         status |= report_failures(
             1,
             f"loadgen: achieved {report.achieved_rps:.1f} rps, "
             f"floor is {args.min_rps:.1f}",
-        )
-    breaches = slo_breaches(
-        report,
-        p99_ms=args.slo_p99_ms,
-        max_error_rate=args.max_error_rate,
-    )
-    if args.slo_p99_ms is not None or args.max_error_rate is not None:
-        for breach in breaches:
-            print(f"SLO breach: {breach}", file=sys.stderr)
-        status |= report_failures(
-            len(breaches),
-            f"loadgen: {len(breaches)} SLO breach(es)",
         )
     return status
 
@@ -1028,8 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--max-error-rate", type=float, default=None,
                          metavar="FRACTION",
                          help="SLO gate: fail when the error rate "
-                              "(service + protocol errors over sent) "
-                              "exceeds this fraction")
+                              "(service, internal and transport failures "
+                              "over sent) exceeds this fraction")
     loadgen.set_defaults(func=_cmd_loadgen)
 
     trace = sub.add_parser(

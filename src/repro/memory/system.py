@@ -9,7 +9,7 @@ the I-cache hit ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.core.lat import CompressedImage
@@ -75,91 +75,61 @@ class CompressedMemorySystem:
             else None
         )
 
-    def _block_sizes(self, block_index: int) -> tuple:
-        """(compressed_bytes, decompressed_bytes) for one block."""
-        if self.image is None:
-            return self.block_size, self.block_size
-        decompressed = min(
-            self.block_size,
-            self.code_size - block_index * self.block_size,
-        )
-        return len(self.image.blocks[block_index]), decompressed
-
     def run(self, trace: Iterable[int]) -> SimulationResult:
-        """Simulate a fetch trace; each hit costs 1 cycle."""
+        """Simulate a fetch trace; each hit costs 1 cycle.
+
+        With telemetry on, the run is a ``memory.run`` span, each refill
+        stall is observed in ``memory.refill_stall_cycles``, and the
+        run's share of the cache and CLB stats is counted.
+        """
         rec = get_recorder()
-        if rec.enabled:
-            cycles, fetches = self._run_instrumented(rec, trace)
-        else:
-            cycles, fetches = self._run_plain(trace)
-        return SimulationResult(
-            algorithm=self.engine.algorithm,
-            cycles=cycles,
-            fetches=fetches,
-            cache=self.cache.stats,
-            clb=self.clb.stats if self.clb is not None else None,
+        image, clb = self.image, self.clb
+        cache_before = replace(self.cache.stats)
+        clb_before = replace(clb.stats) if clb is not None else CLBStats()
+        # The uncompressed system refills a full block, never via a CLB.
+        full_refill = self.engine.refill_cycles(
+            self.block_size, self.block_size, True
         )
-
-    def _run_plain(self, trace: Iterable[int]) -> tuple:
         cycles = 0
         fetches = 0
-        for address in trace:
-            fetches += 1
-            if self.cache.access(address):
-                cycles += 1
-                continue
-            block_index = self.cache.block_index(address)
-            clb_hit = True
-            if self.clb is not None:
-                clb_hit = self.clb.lookup(block_index)
-            compressed, decompressed = self._block_sizes(block_index)
-            cycles += 1 + self.engine.refill_cycles(
-                compressed, decompressed, clb_hit
-            )
-        return cycles, fetches
-
-    def _run_instrumented(self, rec, trace: Iterable[int]) -> tuple:
-        """The same loop as :meth:`_run_plain`, plus refill-stall and
-        CLB-hit accounting (counters and a stall-size histogram)."""
-        cycles = 0
-        fetches = 0
-        hits = 0
-        misses = 0
-        clb_hits = 0
-        clb_misses = 0
-        stall_cycles = 0
         with rec.span("memory.run", algorithm=self.engine.algorithm):
             for address in trace:
                 fetches += 1
                 if self.cache.access(address):
                     cycles += 1
-                    hits += 1
                     continue
-                misses += 1
-                block_index = self.cache.block_index(address)
-                clb_hit = True
-                if self.clb is not None:
-                    clb_hit = self.clb.lookup(block_index)
-                    if clb_hit:
-                        clb_hits += 1
-                    else:
-                        clb_misses += 1
-                compressed, decompressed = self._block_sizes(block_index)
-                refill = self.engine.refill_cycles(
-                    compressed, decompressed, clb_hit
-                )
-                stall_cycles += refill
-                rec.observe("memory.refill_stall_cycles", refill)
+                if image is None or clb is None:
+                    refill = full_refill
+                else:
+                    block_index = self.cache.block_index(address)
+                    refill = self.engine.refill_cycles(
+                        len(image.blocks[block_index]),
+                        image.original_block_size(block_index),
+                        clb.lookup(block_index),
+                    )
+                if rec.enabled:
+                    rec.observe("memory.refill_stall_cycles", refill)
                 cycles += 1 + refill
-        prefix = f"memory.{self.engine.algorithm}"
-        rec.count(f"{prefix}.fetches", fetches)
-        rec.count(f"{prefix}.cache_hits", hits)
-        rec.count(f"{prefix}.cache_misses", misses)
-        rec.count(f"{prefix}.refill_stall_cycles", stall_cycles)
-        if self.clb is not None:
-            rec.count(f"{prefix}.clb_hits", clb_hits)
-            rec.count(f"{prefix}.clb_misses", clb_misses)
-        return cycles, fetches
+        if rec.enabled:
+            prefix = f"memory.{self.engine.algorithm}"
+            cache = self.cache.stats
+            rec.count(f"{prefix}.fetches", fetches)
+            rec.count(f"{prefix}.cache_hits", cache.hits - cache_before.hits)
+            rec.count(f"{prefix}.cache_misses",
+                      cache.misses - cache_before.misses)
+            rec.count(f"{prefix}.refill_stall_cycles", cycles - fetches)
+            if clb is not None:
+                hits = clb.stats.hits - clb_before.hits
+                rec.count(f"{prefix}.clb_hits", hits)
+                rec.count(f"{prefix}.clb_misses",
+                          clb.stats.lookups - clb_before.lookups - hits)
+        return SimulationResult(
+            algorithm=self.engine.algorithm,
+            cycles=cycles,
+            fetches=fetches,
+            cache=self.cache.stats,
+            clb=clb.stats if clb is not None else None,
+        )
 
 
 def simulate(

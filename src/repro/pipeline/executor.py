@@ -38,6 +38,7 @@ from repro.pipeline.report import (
     JobResult,
     PipelineReport,
 )
+from repro.resilience.retry import RetryPolicy
 
 #: Payload schema stored in the cache for each completed job.
 _PAYLOAD_KEYS = frozenset({"ratio", "bytes_in", "bytes_out"})
@@ -82,6 +83,7 @@ def execute_job(job: ExperimentJob, code: bytes) -> Dict[str, Any]:
     from repro.analysis.experiments import compression_ratio
 
     started = perf_seconds()
+    local = None
     if obs_enabled():
         # Isolate this job's telemetry in a fresh recorder scoped to its
         # (benchmark, isa, algorithm) cell; the snapshot travels back in
@@ -97,21 +99,17 @@ def execute_job(job: ExperimentJob, code: bytes) -> Dict[str, Any]:
                 ratio = compression_ratio(
                     code, job.algorithm, job.isa, job.block_size
                 )
-        return {
-            "ratio": ratio,
-            "bytes_in": len(code),
-            "bytes_out": round(ratio * len(code)),
-            "wall_time": perf_seconds() - started,
-            "obs": local.snapshot(),
-        }
-    ratio = compression_ratio(code, job.algorithm, job.isa, job.block_size)
-    elapsed = perf_seconds() - started
-    return {
+    else:
+        ratio = compression_ratio(code, job.algorithm, job.isa, job.block_size)
+    payload: Dict[str, Any] = {
         "ratio": ratio,
         "bytes_in": len(code),
         "bytes_out": round(ratio * len(code)),
-        "wall_time": elapsed,
+        "wall_time": perf_seconds() - started,
     }
+    if local is not None:
+        payload["obs"] = local.snapshot()
+    return payload
 
 
 def _valid_payload(payload: Optional[Dict[str, Any]]) -> bool:
@@ -124,7 +122,6 @@ def run_pipeline(
     cache: Optional[ResultCache] = None,
     job_timeout: Optional[float] = None,
     retries: int = 0,
-    retry_backoff: float = 0.05,
 ) -> PipelineReport:
     """Run a batch of experiment jobs, parallel across processes.
 
@@ -146,15 +143,14 @@ def run_pipeline(
     retries:
         How many times to re-run a job that raised (or whose worker
         crashed) before recording it as failed.  Timeouts never retry.
-    retry_backoff:
-        Base of the exponential sleep between attempts
-        (``retry_backoff * 2**attempt`` seconds).
+        A job that raised sleeps ``0.05 * 2**n`` seconds (at most 2 s)
+        before retry ``n + 1``: an unjittered :class:`RetryPolicy`.
 
     A failing job never aborts the batch: it is recorded in the
     report's ``failures`` list and the remaining jobs complete.
     """
     with get_recorder().span("pipeline.run", jobs=len(jobs)):
-        return _run_pipeline(jobs, max_workers, cache, job_timeout, retries, retry_backoff)
+        return _run_pipeline(jobs, max_workers, cache, job_timeout, retries)
 
 
 def _run_pipeline(
@@ -163,7 +159,6 @@ def _run_pipeline(
     cache: Optional[ResultCache],
     job_timeout: Optional[float],
     retries: int,
-    retry_backoff: float,
 ) -> PipelineReport:
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -233,11 +228,9 @@ def _run_pipeline(
         for index in unique_pending.values()
     ]
     if max_workers == 1 or len(work) <= 1:
-        computed, failed = _run_serial(work, retries, retry_backoff)
+        computed, failed = _run_serial(work, retries)
     else:
-        computed, failed = _run_pool(
-            work, max_workers, job_timeout, retries, retry_backoff
-        )
+        computed, failed = _run_pool(work, max_workers, job_timeout, retries)
 
     for fingerprint, payload in computed.items():
         cache.put(fingerprint, payload)
@@ -328,13 +321,16 @@ def _failure(
     )
 
 
-def _backoff(attempt: int, retry_backoff: float) -> None:
-    if retry_backoff > 0:
-        time.sleep(retry_backoff * (2 ** attempt))
+def _retry_delays(retries: int) -> List[float]:
+    """Sleep before each retry of a job that raised: ``0.05 * 2**n`` s."""
+    policy = RetryPolicy(
+        max_attempts=retries + 1, base_delay=0.05, multiplier=2.0, jitter=0.0
+    )
+    return list(policy.delays())
 
 
 def _run_serial(
-    work: List[_Work], retries: int, retry_backoff: float
+    work: List[_Work], retries: int
 ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, JobFailure]]:
     """Inline execution with bounded retry.
 
@@ -343,6 +339,7 @@ def _run_serial(
     :func:`run_pipeline`).
     """
     rec = get_recorder()
+    delays = _retry_delays(retries)
     computed: Dict[str, Dict[str, Any]] = {}
     failed: Dict[str, JobFailure] = {}
     for fingerprint, job, code in work:
@@ -354,7 +351,7 @@ def _run_serial(
                 if attempt < retries:
                     if rec.enabled:
                         rec.count("pipeline.job_retries")
-                    _backoff(attempt, retry_backoff)
+                    time.sleep(delays[attempt])
                     continue
                 failed[fingerprint] = _failure(
                     job, fingerprint, FAILURE_ERROR, error, attempt + 1
@@ -367,7 +364,6 @@ def _run_pool(
     max_workers: int,
     job_timeout: Optional[float],
     retries: int,
-    retry_backoff: float,
 ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, JobFailure]]:
     """Process-pool execution in retry waves, with crash isolation.
 
@@ -378,6 +374,7 @@ def _run_pool(
     the jobs still queued behind it are recorded as timed out too.
     """
     rec = get_recorder()
+    delays = _retry_delays(retries)
     computed: Dict[str, Dict[str, Any]] = {}
     failed: Dict[str, JobFailure] = {}
     attempts: Dict[str, int] = {fingerprint: 0 for fingerprint, _, _ in work}
@@ -435,7 +432,7 @@ def _run_pool(
                     if attempts[fingerprint] <= retries:
                         if rec.enabled:
                             rec.count("pipeline.job_retries")
-                        _backoff(attempts[fingerprint] - 1, retry_backoff)
+                        time.sleep(delays[attempts[fingerprint] - 1])
                         retry_next.append(item)
                     else:
                         failed[fingerprint] = _failure(

@@ -4,13 +4,12 @@ The service layer turns the repo's codecs into a long-lived daemon
 (``python -m repro serve``) speaking a length-prefixed, RF01-framed
 binary protocol, with a warm SAMC model registry so the semiadaptive
 training pass is amortised across requests.  Companions: a blocking and
-an asyncio client, a paced mixed-workload load generator
-(``python -m repro loadgen``), a wire-protocol fuzzer
-(``python -m repro fuzz --target service``), and the failure-semantics
-layer: seeded retry/backoff policies with a circuit breaker
-(:mod:`repro.service.retry`), a seeded TCP fault proxy
-(:mod:`repro.service.chaos`), and the chaos soak driver
-(``python -m repro soak``).
+an asyncio client, a paced mixed-workload load generator with one typed
+outcome per request (``python -m repro loadgen``), a wire-protocol
+fuzzer (``python -m repro fuzz --target service``), a seeded TCP fault
+proxy (:mod:`repro.service.chaos`), and the chaos soak driver
+(``python -m repro soak``).  Retry policies and the circuit breaker
+live in :mod:`repro.resilience.retry`, the repo's one backoff policy.
 """
 
 from repro.service.chaos import ChaosProxy, FaultPlan
@@ -45,18 +44,12 @@ from repro.service.protocol import (
     WireError,
 )
 from repro.service.registry import WarmModelRegistry
-from repro.service.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    classify_failure,
-)
 from repro.service.server import CodecService, ServerThread, ServiceConfig
 from repro.service.soak import SoakReport, run_soak
 
 __all__ = [
     "AsyncServiceClient",
     "ChaosProxy",
-    "CircuitBreaker",
     "CodecService",
     "DEFAULT_MAX_MESSAGE",
     "DEFAULT_PORT",
@@ -68,7 +61,6 @@ __all__ = [
     "OP_STATS",
     "Request",
     "Response",
-    "RetryPolicy",
     "STATUS_BUSY",
     "STATUS_DEADLINE",
     "STATUS_ERROR",
@@ -84,7 +76,6 @@ __all__ = [
     "WireError",
     "build_codecs",
     "build_workload",
-    "classify_failure",
     "find_saturation",
     "run_loadgen",
     "run_loadgen_async",

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import itertools
 import socket
+import time
 from typing import Dict, Optional, Tuple
 
+from repro.obs.clock import perf_seconds
 from repro.resilience.errors import (
     CATEGORY_TRUNCATED,
     CorruptedStreamError,
 )
 from repro.resilience.frame import FRAME_OVERHEAD, unwrap_frame
+from repro.resilience.retry import RetryPolicy
 from repro.service import protocol
 from repro.service.protocol import (
     OP_COMPRESS,
@@ -50,6 +53,17 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 #: its budget still needs its ``STATUS_DEADLINE`` reply to cross the
 #: wire, so the client listens slightly past the deadline itself.
 DEADLINE_GRACE = 1.0
+
+#: :func:`wait_for_service` pacing: a short first retry, then seeded
+#: exponential backoff, so a daemon that boots fast is noticed fast and
+#: a slow one is not hammered.
+PROBE_POLICY = RetryPolicy(
+    max_attempts=None, base_delay=0.02, multiplier=1.7,
+    max_delay=0.5, jitter=0.25, seed=0,
+)
+
+#: Bound on each :func:`wait_for_service` health round-trip.
+PROBE_TIMEOUT = 2.0
 
 
 class ServiceError(RuntimeError):
@@ -300,39 +314,20 @@ class AsyncServiceClient:
             pass
 
 
-def wait_for_service(
-    host: str,
-    port: int,
-    timeout: float = 10.0,
-    probe_timeout: float = 2.0,
-    policy: Optional["RetryPolicy"] = None,
-) -> bool:
+def wait_for_service(host: str, port: int, timeout: float = 10.0) -> bool:
     """Poll until a daemon answers ``health`` (or the timeout lapses).
 
     Lets scripts race-free ``repro serve & repro loadgen``: the load
     generator waits for the daemon to come up instead of failing on the
-    first connection refusal.  Probes are paced by a seeded
-    :class:`~repro.service.retry.RetryPolicy` (short first retry,
-    exponential backoff, deterministic jitter) instead of a fixed poll
-    interval — a daemon that boots fast is noticed fast, and a slow one
-    is not hammered.  ``probe_timeout`` bounds each individual health
-    round-trip.
+    first connection refusal.  Probes are paced by
+    :data:`PROBE_POLICY` instead of a fixed poll interval, and each
+    health round-trip is bounded by :data:`PROBE_TIMEOUT`.
     """
-    import time
-
-    from repro.obs.clock import perf_seconds
-    from repro.service.retry import RetryPolicy
-
-    if policy is None:
-        policy = RetryPolicy(
-            max_attempts=None, base_delay=0.02, multiplier=1.7,
-            max_delay=0.5, jitter=0.25, seed=0,
-        )
     deadline = perf_seconds() + timeout
-    delays = policy.delays()
+    delays = PROBE_POLICY.delays()
     while True:
         try:
-            with ServiceClient(host, port, timeout=probe_timeout) as client:
+            with ServiceClient(host, port, timeout=PROBE_TIMEOUT) as client:
                 if client.health().get("status") == "ok":
                     return True
         except (OSError, CorruptedStreamError, ServiceError):
@@ -340,7 +335,7 @@ def wait_for_service(
         remaining = deadline - perf_seconds()
         if remaining <= 0:
             return False
-        time.sleep(min(next(delays, policy.max_delay), remaining))
+        time.sleep(min(next(delays), remaining))
 
 
 __all__ = [
@@ -348,6 +343,8 @@ __all__ = [
     "DEADLINE_GRACE",
     "DEFAULT_CONNECT_TIMEOUT",
     "DEFAULT_REQUEST_TIMEOUT",
+    "PROBE_POLICY",
+    "PROBE_TIMEOUT",
     "ServiceClient",
     "ServiceError",
     "recv_response",

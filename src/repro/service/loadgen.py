@@ -6,32 +6,36 @@ running daemon at a target request rate, then reports what the service
 actually sustained:
 
 * **achieved RPS** vs the target (and whether the run saturated);
-* **client-side latency percentiles** (p50/p95/p99/max, measured
-  request-to-reply, exact — not histogram-bucketed);
-* **error rate**, split into service errors (structured ``error``
-  replies), ``busy`` rejections (backpressure doing its job), and
-  protocol errors (anything that breaks the wire contract — the count
-  that must be zero on a healthy daemon);
+* **client-side latency percentiles** (p50/p95/p99/max, measured from
+  each request's scheduled send to its reply, exact — not
+  histogram-bucketed);
+* **typed outcomes**: every sent request lands in exactly one bucket —
+  ``ok``, ``retried_ok`` (succeeded after >= 1 retry), ``busy`` /
+  ``deadline`` (typed sheds; a ``deadline`` shed is terminal, since a
+  retry cannot beat a clock that has run out), ``breaker_open``
+  (refused locally, no wire attempt), ``connection_faults`` /
+  ``timeouts`` (transport failures that exhausted the retries),
+  ``service_errors`` / ``internal_errors`` (structured rejections,
+  never retried) — so :attr:`LoadgenReport.outcomes_total` always
+  equals ``sent``;
 * with ``--sweep``, the **saturation point**: the rate is doubled until
   achieved throughput falls below the sustain threshold.
 
-Resilience mode: passing a :class:`~repro.service.retry.RetryPolicy`
-(plus, optionally, a shared :class:`~repro.service.retry.CircuitBreaker`
-and a per-request ``request_deadline``) switches the workers onto the
-typed-outcome taxonomy — every sent request lands in exactly one
-bucket: ``ok``, ``retried_ok`` (succeeded after >= 1 retry), ``busy`` /
-``deadline`` (typed sheds that survived the retry budget), ``breaker_open``
-(refused locally, no wire attempt), ``connection_faults`` / ``timeouts``
-(transport failures that exhausted retries), ``service_errors`` /
-``internal_errors`` (structured rejections — fatal, never retried).
-Without a policy the legacy single-attempt semantics are unchanged.
+Retries follow a :class:`~repro.resilience.retry.RetryPolicy`; the
+default policy makes one attempt.  A shared
+:class:`~repro.resilience.retry.CircuitBreaker` and a per-request
+``request_deadline`` are optional.
 
-Pacing is open-loop per connection: each of ``connections`` asyncio
-workers owns an equal slice of the target rate and schedules sends on a
-fixed interval grid, so a slow reply delays that worker's next send but
-the measured "achieved RPS" honestly reflects the service, not the
-generator's politeness.  All workload choice is seeded — two runs with
-the same seed replay the same request sequence.
+Pacing: each of ``connections`` asyncio workers owns an equal slice of
+the target rate and a fixed send schedule on an interval grid.  A
+worker carries one request at a time, so a slow reply delays its next
+sends; the schedule never moves, though, and each request is timed
+from its *scheduled* send, so the wait a stall causes is charged to
+every request that was due during it.  Under saturation the workers
+fall behind: requests still unsent when the duration ends are never
+sent, and the achieved RPS is bounded by ``connections`` over the
+latency.  All workload choice is seeded — two runs with the same seed
+replay the same request sequence.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.clock import perf_seconds
 from repro.resilience.errors import CorruptedStreamError
+from repro.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.service.client import AsyncServiceClient
 from repro.service.protocol import (
     OP_COMPRESS,
@@ -54,15 +59,17 @@ from repro.service.protocol import (
     STATUS_DEADLINE,
     STATUS_OK,
 )
-from repro.service.retry import CircuitBreaker, RetryPolicy
 
 #: Fraction of the target rate a run must sustain to count as
 #: unsaturated.
 SUSTAIN_THRESHOLD = 0.90
 
 #: Per-request reply budget; a reply slower than this counts as a
-#: protocol failure (the daemon's decode contract bans hangs).
+#: timeout (the daemon's decode contract bans hangs).
 REQUEST_TIMEOUT = 30.0
+
+#: The default policy: one attempt, no retries.
+SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,6 @@ class LoadgenReport:
     ok: int = 0
     busy: int = 0
     service_errors: int = 0
-    protocol_errors: int = 0
-    #: Resilience-mode buckets (stay zero on the legacy path).
     retried_ok: int = 0
     deadline_shed: int = 0
     breaker_open: int = 0
@@ -158,23 +163,27 @@ class LoadgenReport:
         return succeeded / self.elapsed if self.elapsed > 0 else 0.0
 
     @property
+    def transport_failures(self) -> int:
+        """Requests lost to the transport: connection faults plus
+        timeouts.  Any of them breaches the SLO gate."""
+        return self.connection_faults + self.timeouts
+
+    @property
     def error_rate(self) -> float:
         failed = (self.service_errors + self.internal_errors
-                  + self.protocol_errors)
+                  + self.transport_failures)
         return failed / self.sent if self.sent else 0.0
 
     @property
     def outcomes_total(self) -> int:
         """Sum over every outcome bucket.
 
-        The accounting invariant the soak driver asserts: every sent
-        request ends in exactly one typed outcome, so this must equal
-        ``sent``.
+        The accounting invariant: every sent request ends in exactly one
+        typed outcome, so this equals ``sent`` (the soak asserts it).
         """
         return (self.ok + self.retried_ok + self.busy + self.deadline_shed
-                + self.breaker_open + self.connection_faults + self.timeouts
-                + self.service_errors + self.internal_errors
-                + self.protocol_errors)
+                + self.breaker_open + self.transport_failures
+                + self.service_errors + self.internal_errors)
 
     @property
     def saturated(self) -> bool:
@@ -205,7 +214,6 @@ class LoadgenReport:
             "timeouts": self.timeouts,
             "service_errors": self.service_errors,
             "internal_errors": self.internal_errors,
-            "protocol_errors": self.protocol_errors,
             "retries": self.retries,
             "breaker": {
                 "opened": self.breaker_opened,
@@ -241,32 +249,22 @@ class LoadgenReport:
 
         doc = self.to_dict()
         latency = doc["latency_ms"]
-        rows: Sequence[Sequence[object]] = [
+        rows: List[Sequence[object]] = [
             ("target rps", f"{self.target_rps:.0f}"),
             ("achieved rps", f"{self.achieved_rps:.1f}"),
             ("requests", f"{self.sent} sent / {self.ok} ok / "
-                         f"{self.busy} busy"),
+                         f"{self.retried_ok} retried ok "
+                         f"({self.retries} retry attempts)"),
+            ("shed", f"{self.busy} busy / {self.deadline_shed} deadline"),
             ("errors", f"{self.service_errors} service / "
-                       f"{self.protocol_errors} protocol "
+                       f"{self.internal_errors} internal / "
+                       f"{self.transport_failures} transport "
                        f"({100 * self.error_rate:.2f}%)"),
-        ]
-        resilient = (self.retried_ok + self.deadline_shed
-                     + self.breaker_open + self.connection_faults
-                     + self.timeouts + self.internal_errors + self.retries)
-        if resilient:
-            rows = list(rows) + [
-                ("retried ok", f"{self.retried_ok} "
-                               f"({self.retries} retry attempts)"),
-                ("shed", f"{self.busy} busy / "
-                         f"{self.deadline_shed} deadline"),
-                ("faults", f"{self.connection_faults} connection / "
-                           f"{self.timeouts} timeout / "
-                           f"{self.internal_errors} internal"),
-                ("breaker", f"{self.breaker_open} refused "
-                            f"(opened {self.breaker_opened}x, "
-                            f"reclosed {self.breaker_reclosed}x)"),
-            ]
-        rows = list(rows) + [
+            ("transport", f"{self.connection_faults} connection / "
+                          f"{self.timeouts} timeout"),
+            ("breaker", f"{self.breaker_open} refused "
+                        f"(opened {self.breaker_opened}x, "
+                        f"reclosed {self.breaker_reclosed}x)"),
             ("latency p50", f"{latency['p50']:.2f} ms"),
             ("latency p95", f"{latency['p95']:.2f} ms"),
             ("latency p99", f"{latency['p99']:.2f} ms"),
@@ -275,7 +273,6 @@ class LoadgenReport:
         ]
         batch = self.batch_summary()
         if batch is not None:
-            rows = list(rows)
             size = batch["batch_size"] or {}
             if size:
                 rows.append((
@@ -307,13 +304,13 @@ def slo_breaches(
 
     The gate is what CI runs after a loadgen burst: a breach message per
     violated objective, human-readable and stable enough to grep.
-    Protocol errors always breach — no error budget covers a broken
-    wire contract.
+    Transport failures always breach — no error budget covers a
+    dropped connection or a hung reply.
     """
     breaches: List[str] = []
-    if report.protocol_errors:
+    if report.transport_failures:
         breaches.append(
-            f"protocol errors: {report.protocol_errors} (budget: 0)"
+            f"transport failures: {report.transport_failures} (budget: 0)"
         )
     if p99_ms is not None:
         observed = report.percentile_ms(0.99)
@@ -353,18 +350,18 @@ async def _worker(
     start_at: float,
     rng: random.Random,
     report: LoadgenReport,
-    request_timeout: float = REQUEST_TIMEOUT,
-    policy: Optional[RetryPolicy] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    request_deadline: Optional[float] = None,
+    request_timeout: float,
+    policy: RetryPolicy,
+    breaker: Optional[CircuitBreaker],
+    request_deadline: Optional[float],
 ) -> None:
     """One paced connection worth of load.
 
-    Without ``policy`` this is the legacy single-attempt path: any
-    transport failure is a protocol error.  With a policy, transport
-    failures and ``busy`` sheds are retried on the policy's seeded
-    backoff schedule, the shared ``breaker`` refuses sends while open,
-    and every request lands in exactly one typed outcome bucket.
+    Transport failures and ``busy`` sheds are retried on the policy's
+    seeded backoff schedule, the shared ``breaker`` refuses sends while
+    open, and every request lands in exactly one typed outcome bucket.
+    Latency runs from the request's slot on the send schedule, which a
+    late reply never moves.
     """
     client: Optional[AsyncServiceClient] = None
     interval = 1.0 / rate if rate > 0 else 0.0
@@ -375,15 +372,15 @@ async def _worker(
             break
         if next_send > now:
             await asyncio.sleep(next_send - now)
-        next_send = max(next_send + interval, perf_seconds())
+        scheduled = next_send
+        next_send += interval
         unit = rng.choices(units, weights=weights)[0]
         report.sent += 1
         if breaker is not None and not breaker.allow():
             report.breaker_open += 1
             continue
-        delays = policy.delays() if policy is not None else iter(())
+        delays = policy.delays()
         attempts = 0
-        started = perf_seconds()
         while True:
             attempts += 1
             try:
@@ -403,11 +400,6 @@ async def _worker(
                 if client is not None:
                     await client.close()
                     client = None
-                if policy is None:
-                    report.protocol_errors += 1
-                    _sample(report, f"{unit.label}: "
-                                    f"{type(error).__name__}: {error}")
-                    break
                 delay = next(delays, None)
                 if delay is not None and (
                     breaker is None or breaker.allow()
@@ -424,14 +416,14 @@ async def _worker(
                 break
             if breaker is not None:
                 breaker.record_success()
-            if response.status == STATUS_BUSY and policy is not None:
+            if response.status == STATUS_BUSY:
                 delay = next(delays, None)
                 if delay is not None:
                     report.retries += 1
                     await asyncio.sleep(delay)
                     continue
             report.latencies_ms.append(
-                (perf_seconds() - started) * 1000.0
+                (perf_seconds() - scheduled) * 1000.0
             )
             if response.status == STATUS_OK:
                 if attempts > 1:
@@ -445,7 +437,7 @@ async def _worker(
                 # clock that has run out, so the shed is terminal.
                 report.deadline_shed += 1
             else:
-                if policy is not None and response.category == "internal":
+                if response.category == "internal":
                     report.internal_errors += 1
                 else:
                     report.service_errors += 1
@@ -464,7 +456,7 @@ async def run_loadgen_async(
     connections: int,
     seed: int,
     units: Sequence[WorkUnit],
-    retry: Optional[RetryPolicy] = None,
+    retry: RetryPolicy = SINGLE_ATTEMPT,
     breaker: Optional[CircuitBreaker] = None,
     request_deadline: Optional[float] = None,
     request_timeout: float = REQUEST_TIMEOUT,
@@ -536,7 +528,7 @@ def run_loadgen(
     connections: int = 8,
     seed: int = 0,
     units: Optional[Sequence[WorkUnit]] = None,
-    retry: Optional[RetryPolicy] = None,
+    retry: RetryPolicy = SINGLE_ATTEMPT,
     breaker: Optional[CircuitBreaker] = None,
     request_deadline: Optional[float] = None,
     request_timeout: float = REQUEST_TIMEOUT,
@@ -568,7 +560,7 @@ def find_saturation(
 
     Returns every round's report plus the saturation point: the highest
     target rate the service sustained (>= :data:`SUSTAIN_THRESHOLD` of
-    target with no protocol errors).
+    target with no transport failures).
     """
     reports: List[LoadgenReport] = []
     sustained = 0.0
@@ -579,7 +571,7 @@ def find_saturation(
             connections=connections, seed=seed,
         )
         reports.append(report)
-        if report.saturated or report.protocol_errors:
+        if report.saturated or report.transport_failures:
             break
         sustained = rate
         rate *= 2

@@ -5,6 +5,8 @@ import pytest
 from repro.core.samc import SamcCodec
 from repro.memory.system import CompressedMemorySystem
 from repro.memory.trace import generate_trace
+from repro.obs import obs_session
+from repro.workloads.suite import generate_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,51 @@ class TestSystem:
         result = CompressedMemorySystem(len(mips_program)).run([])
         assert result.cycles == 0
         assert result.cycles_per_fetch == 0.0
+
+
+#: algorithm -> (cycles of the two runs, counters, stall histogram) for
+#: ``mgrid`` at scale 0.05, seed 3 (764 bytes: the last block is 28
+#: bytes), a 256-byte cache, and trace seed 3, which fetches that short
+#: block.  The same system runs the first 1000 fetches and then the
+#: rest, so the counters must be per-run amounts, not running totals.
+PINNED_MEMORY_TELEMETRY = {
+    "SAMC": (
+        (13747, 28181),
+        {"memory.SAMC.fetches": 3000, "memory.SAMC.cache_hits": 2607,
+         "memory.SAMC.cache_misses": 393,
+         "memory.SAMC.refill_stall_cycles": 38928,
+         "memory.SAMC.clb_hits": 390, "memory.SAMC.clb_misses": 3},
+        {"buckets": {8: 3, 7: 390}, "count": 393, "total": 38928,
+         "overflow": 0, "underflow": 0},
+    ),
+    "uncompressed": (
+        (5992, 12335),
+        {"memory.uncompressed.fetches": 3000,
+         "memory.uncompressed.cache_hits": 2607,
+         "memory.uncompressed.cache_misses": 393,
+         "memory.uncompressed.refill_stall_cycles": 15327},
+        {"buckets": {6: 393}, "count": 393, "total": 15327,
+         "overflow": 0, "underflow": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_MEMORY_TELEMETRY))
+def test_pinned_run_telemetry(algorithm):
+    """Counters, the refill-stall histogram and the span, per run."""
+    code = generate_benchmark("mgrid", "mips", scale=0.05, seed=3).code
+    image = SamcCodec.for_mips().compress(code) if algorithm == "SAMC" else None
+    trace = list(generate_trace(len(code), length=3000, seed=3))
+    system = CompressedMemorySystem(len(code), image=image, cache_size=256)
+    with obs_session() as rec:
+        cycles = (system.run(trace[:1000]).cycles,
+                  system.run(trace[1000:]).cycles)
+        snapshot = rec.snapshot()
+    assert (cycles, snapshot["counters"],
+            snapshot["histograms"]["memory.refill_stall_cycles"]) == (
+        PINNED_MEMORY_TELEMETRY[algorithm]
+    )
+    assert {path: cell["count"] for path, cell in snapshot["spans"].items()} \
+        == {f"memory.run{{algorithm={algorithm}}}": 2}
+    plain = CompressedMemorySystem(len(code), image=image, cache_size=256)
+    assert plain.run(trace).cycles == sum(cycles)

@@ -113,8 +113,9 @@ _SAMC_DEPTH_BITS = (
 #: coder paths.  "small" is ``mgrid`` at scale 0.05, seed 3: its one
 #: jump fills the MIPS ``imm26`` stream.  The empty program keeps each
 #: codec's edge cases: MIPS SADC has no blocks and so no
-#: ``sadc.tokens_emitted``, x86 SADC encodes one empty block, and
-#: byte-Huffman records ``symbols: 0``.
+#: ``sadc.tokens_emitted``, x86 SADC encodes one empty block,
+#: byte-Huffman records ``symbols: 0``, and gzipish codes only its
+#: tables and a one-bit end-of-block.
 PINNED_TELEMETRY = {
     ("SAMC", "small"): (
         {"flush": 192, "lat": 152, "model": 16480, "stream0": 752,
@@ -157,6 +158,15 @@ PINNED_TELEMETRY = {
         {"lat": 0, "model": 0, "symbols": 0},
         {"byte_huffman.blocks_encoded": 0},
     ),
+    ("gzipish", "small"): (
+        {"eob": 8, "literals": 1326, "match_distances": 499,
+         "match_lengths": 326, "padding": 5, "tables": 1580},
+        {"lzss.literals": 216, "lzss.matches": 58},
+    ),
+    ("gzipish", "empty"): (
+        {"eob": 1, "padding": 3, "tables": 1580},
+        {"lzss.literals": 0, "lzss.matches": 0},
+    ),
 }
 
 _PINNED_CODECS = {
@@ -164,6 +174,7 @@ _PINNED_CODECS = {
     "SADC-mips": ("mips", lambda code: MipsSadcCodec().compress(code)),
     "SADC-x86": ("x86", lambda code: X86SadcCodec().compress(code)),
     "byte-huffman": ("mips", lambda code: ByteHuffmanCodec().compress(code)),
+    "gzipish": ("mips", gzipish_compress),
 }
 
 

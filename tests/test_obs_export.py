@@ -298,11 +298,11 @@ class TestTopHelpers:
 class TestSloGate:
     """The loadgen SLO gate trips on exactly the configured breaches."""
 
-    def _report(self, latencies, protocol_errors=0, service_errors=0):
+    def _report(self, latencies, connection_faults=0, service_errors=0):
         report = LoadgenReport(
             target_rps=100, duration=1, connections=1, seed=0,
             sent=len(latencies) or 1, ok=len(latencies),
-            protocol_errors=protocol_errors,
+            connection_faults=connection_faults,
             service_errors=service_errors,
             elapsed=1.0, latencies_ms=list(latencies),
         )
@@ -324,7 +324,7 @@ class TestSloGate:
         assert len(breaches) == 1 and "error rate" in breaches[0]
 
     def test_protocol_errors_always_breach(self):
-        report = self._report([1.0], protocol_errors=1)
+        report = self._report([1.0], connection_faults=1)
         assert slo_breaches(report) != []
 
     def test_no_gates_no_latency_breach(self):

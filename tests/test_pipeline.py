@@ -315,8 +315,7 @@ class TestFaultTolerantPipeline:
 
     def test_retries_are_counted_then_exhausted(self):
         jobs = [_job("no-such-algorithm")]
-        report = run_pipeline(jobs, cache=NullCache(), retries=2,
-                              retry_backoff=0.0)
+        report = run_pipeline(jobs, cache=NullCache(), retries=2)
         assert report.failures[0].attempts == 3  # 1 try + 2 retries
 
     def test_generation_failure_fails_all_dependent_jobs(self):
@@ -386,7 +385,7 @@ class TestFaultTolerantPipeline:
 
         with obs_session() as recorder:
             run_pipeline([_job("no-such-algorithm")], cache=NullCache(),
-                         retries=1, retry_backoff=0.0)
+                         retries=1)
             counters = recorder.snapshot()["counters"]
         assert counters.get("pipeline.job_failures") == 1
         assert counters.get("pipeline.job_retries") == 1

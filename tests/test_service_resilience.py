@@ -19,7 +19,6 @@ from repro.service import (
     ServerThread,
     ServiceClient,
     ServiceConfig,
-    ServiceError,
 )
 from repro.service.chaos import ChaosProxy, FaultPlan
 from repro.service.client import (
@@ -39,15 +38,12 @@ from repro.service.protocol import (
     encode_request,
     pack_message,
 )
-from repro.service.retry import (
-    FATAL,
-    RETRYABLE,
+from repro.resilience.retry import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
     CircuitBreaker,
     RetryPolicy,
-    classify_failure,
 )
 
 
@@ -145,40 +141,6 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-0.1)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
-
-
-class TestFailureTaxonomy:
-    """classify_failure: retryable transport faults vs fatal errors."""
-
-    def test_transport_faults_are_retryable(self):
-        for error in (
-            ConnectionResetError("reset"),
-            OSError("unreachable"),
-            TimeoutError("slow"),
-            asyncio.TimeoutError(),
-            WireError("desync", fatal=True),
-        ):
-            assert classify_failure(error) == RETRYABLE
-
-    def test_shed_replies_are_retryable(self):
-        from repro.service.protocol import Response
-
-        for status in (STATUS_BUSY, STATUS_DEADLINE):
-            error = ServiceError(Response(
-                op=OP_COMPRESS, status=status, request_id=1,
-                payload=b"", category="busy", message="shed",
-            ))
-            assert classify_failure(error) == RETRYABLE
-
-    def test_structured_errors_are_fatal(self):
-        from repro.service.protocol import STATUS_ERROR, Response
-
-        error = ServiceError(Response(
-            op=OP_COMPRESS, status=STATUS_ERROR, request_id=1,
-            payload=b"", category="invalid", message="bad input",
-        ))
-        assert classify_failure(error) == FATAL
-        assert classify_failure(ValueError("local bug")) == FATAL
 
 
 class TestCircuitBreaker:
