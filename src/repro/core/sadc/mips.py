@@ -25,20 +25,34 @@ Deviations from the paper, both documented in DESIGN.md:
   approximation ``g = f(n−1) − n``; same greedy spirit, slightly more
   accurate bookkeeping.
 * Instead of erasing and regrowing the dictionary each cycle, we keep it
-  and re-parse — equivalent outcome, far fewer passes; a
-  ``batch_inserts`` knob trades generator fidelity for speed.
+  and re-parse only the blocks one of the cycle's new entries matches
+  somewhere.  This is exact: parsing takes the first matching entry of
+  an opcode's bucket, and adding an entry never reorders the existing
+  ones, so a block no new entry matches parses as before.  Candidates
+  are scored from counts and per-entry storage (a group stores the sum
+  of its parts, a binding adds its ``BOUND_*_BITS``) and only the
+  inserted ones are built.  A ``batch_inserts`` knob trades generator
+  fidelity for speed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage
-from repro.core.sadc.entry import DictEntry, Dictionary
+from repro.core.sadc.entry import (
+    BOUND_IMM16_BITS,
+    BOUND_IMM26_BITS,
+    BOUND_REG_BITS,
+    DictEntry,
+    Dictionary,
+)
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -111,14 +125,24 @@ class InstrRec:
 #: A parsed token: (dictionary index, start position in the block).
 ParsedToken = Tuple[int, int]
 
+#: The operands of one dictionary entry that still stream, in coding
+#: order: ``(instr_index, register slots, imm16 streams, imm26 streams)``
+#: for each instruction of the group that streams anything.
+OperandPlan = Tuple[Tuple[int, Tuple[int, ...], bool, bool], ...]
 
-def _entry_matches(entry: DictEntry, instrs: Sequence[InstrRec], pos: int) -> bool:
-    if pos + entry.length > len(instrs):
+#: One block's candidate occurrences, in first-seen order, per kind:
+#: token pairs, token triples, then register, imm16 and imm26 bindings
+#: ``(index, instr_index[, slot], value)``.
+CandidateKeys = Tuple[List[tuple], List[tuple], List[tuple], List[tuple], List[tuple]]
+
+
+def _matches(
+    entry: DictEntry, opcodes: Tuple[int, ...], instrs: Sequence[InstrRec], pos: int
+) -> bool:
+    """Whether ``entry`` matches ``instrs`` at ``pos``; ``opcodes`` holds
+    the block's opcode ids."""
+    if opcodes[pos : pos + len(entry.opcodes)] != entry.opcodes:
         return False
-    for j, opcode in enumerate(entry.opcodes):
-        rec = instrs[pos + j]
-        if rec.opcode_id != opcode:
-            return False
     for j, slot, value in entry.bound_regs:
         if instrs[pos + j].regs[slot] != value:
             return False
@@ -134,23 +158,101 @@ def _entry_matches(entry: DictEntry, instrs: Sequence[InstrRec], pos: int) -> bo
 def parse_block(
     dictionary: Dictionary, instrs: Sequence[InstrRec]
 ) -> List[ParsedToken]:
-    """Greedy longest-match parse of one block's instructions."""
+    """Greedy longest-match parse of one block's instructions.
+
+    At each position the first entry of the opcode's bucket that matches
+    wins; buckets are ordered longest and most-bound first.
+    """
+    opcodes = tuple(rec.opcode_id for rec in instrs)
+    entries = dictionary.entries
     tokens: List[ParsedToken] = []
     pos = 0
-    while pos < len(instrs):
-        chosen = None
-        for index in dictionary.candidates_starting_with(instrs[pos].opcode_id):
-            if _entry_matches(dictionary.entries[index], instrs, pos):
-                chosen = index
+    while pos < len(opcodes):
+        for index in dictionary.candidates_starting_with(opcodes[pos]):
+            if _matches(entries[index], opcodes, instrs, pos):
                 break
-        if chosen is None:
+        else:
             raise ValueError(
                 f"no dictionary entry matches opcode id "
-                f"{instrs[pos].opcode_id} — singles must be seeded first"
+                f"{opcodes[pos]} — singles must be seeded first"
             )
-        tokens.append((chosen, pos))
-        pos += dictionary.entries[chosen].length
+        tokens.append((index, pos))
+        pos += len(entries[index].opcodes)
     return tokens
+
+
+def _operand_plan(entry: DictEntry) -> OperandPlan:
+    """Which of ``entry``'s operands stream rather than being bound."""
+    bound_regs = {(j, slot) for j, slot, _value in entry.bound_regs}
+    bound_imm16 = {j for j, _value in entry.bound_imm16}
+    bound_imm26 = {j for j, _value in entry.bound_imm26}
+    plan = []
+    for j, opcode_id in enumerate(entry.opcodes):
+        spec = ID_TO_SPEC[opcode_id]
+        slots = tuple(
+            slot for slot in range(len(register_slots(spec)))
+            if (j, slot) not in bound_regs
+        )
+        imm16 = uses_imm16(spec) and j not in bound_imm16
+        imm26 = uses_imm26(spec) and j not in bound_imm26
+        if slots or imm16 or imm26:
+            plan.append((j, slots, imm16, imm26))
+    return tuple(plan)
+
+
+def _candidate_entry(entries: Sequence[DictEntry], kind: str, key: tuple) -> DictEntry:
+    """Build the dictionary entry a scored candidate key stands for."""
+    if kind == "pair":
+        a, b = key
+        return entries[a].concat(entries[b])
+    if kind == "triple":
+        a, b, c = key
+        return entries[a].concat(entries[b]).concat(entries[c])
+    index, *binding = key
+    if kind == "reg":
+        return entries[index].bind_reg(*binding)
+    if kind == "imm16":
+        return entries[index].bind_imm16(*binding)
+    return entries[index].bind_imm26(*binding)
+
+
+def _ranked_candidates(
+    keys: Sequence[CandidateKeys], storage: Sequence[int]
+) -> List[Tuple[int, str, tuple]]:
+    """Every positive-gain candidate as ``(gain, kind, key)``, best first.
+
+    A group's storage is the sum of its parts' and a binding adds its
+    ``BOUND_*_BITS``, so gains need only counts and per-entry storage.
+    Counting in block order keeps each kind's first-seen order, on which
+    the stable sort breaks ties.
+    """
+    pairs, triples, regs, imm16s, imm26s = (
+        Counter(chain.from_iterable(block[kind] for block in keys))
+        for kind in range(5)
+    )
+    scored = [
+        (f * 8 - storage[a] - storage[b], "pair", (a, b))
+        for (a, b), f in pairs.items()
+    ]
+    scored += [
+        (f * 16 - storage[a] - storage[b] - storage[c], "triple", (a, b, c))
+        for (a, b, c), f in triples.items()
+    ]
+    scored += [
+        (f * 5 - storage[key[0]] - BOUND_REG_BITS, "reg", key)
+        for key, f in regs.items()
+    ]
+    scored += [
+        (f * 16 - storage[key[0]] - BOUND_IMM16_BITS, "imm16", key)
+        for key, f in imm16s.items()
+    ]
+    scored += [
+        (f * 26 - storage[key[0]] - BOUND_IMM26_BITS, "imm26", key)
+        for key, f in imm26s.items()
+    ]
+    positive = [item for item in scored if item[0] > 0]
+    positive.sort(key=itemgetter(0), reverse=True)
+    return positive
 
 
 class MipsSadcCodec:
@@ -165,7 +267,6 @@ class MipsSadcCodec:
         enable_groups: bool = True,
         enable_reg_binding: bool = True,
         enable_imm_binding: bool = True,
-        max_group_tokens: int = 3,
     ) -> None:
         if block_size % 4 != 0:
             raise ValueError("block_size must hold whole MIPS instructions")
@@ -176,7 +277,6 @@ class MipsSadcCodec:
         self.enable_groups = enable_groups
         self.enable_reg_binding = enable_reg_binding
         self.enable_imm_binding = enable_imm_binding
-        self.max_group_tokens = max_group_tokens
 
     # -- program decomposition ------------------------------------------
 
@@ -200,99 +300,112 @@ class MipsSadcCodec:
         mnemonic in the ISA (not just those observed), which a *static*
         dictionary needs so it can parse programs it was not trained on.
         """
+        return self._grow(blocks, seed_all_opcodes)[0]
+
+    def _grow(
+        self,
+        blocks: Sequence[Sequence[InstrRec]],
+        seed_all_opcodes: bool = False,
+    ) -> Tuple[Dictionary, List[OperandPlan], List[List[ParsedToken]]]:
+        """Grow the dictionary; also return every entry's operand plan
+        and every block's parse under the final dictionary.
+
+        Each block's parse and candidate keys are cached between cycles.
+        Parsing takes the first matching entry of a bucket, and
+        :meth:`Dictionary.add` never reorders existing entries, so a
+        cycle's insertions can only change a block's parse where one of
+        them matches: only those blocks are parsed again.
+        """
         dictionary = Dictionary(self.max_entries)
+        plans: List[OperandPlan] = []
+        storage: List[int] = []
+
+        def add(entry: DictEntry) -> None:
+            dictionary.add(entry)
+            plans.append(_operand_plan(entry))
+            storage.append(entry.storage_bits)
+
         if seed_all_opcodes:
             for opcode_id in ID_TO_SPEC:
                 if not dictionary.is_full:
-                    dictionary.add(DictEntry(opcodes=(opcode_id,)))
+                    add(DictEntry(opcodes=(opcode_id,)))
         for block in blocks:
             for rec in block:
                 entry = DictEntry(opcodes=(rec.opcode_id,))
                 if entry not in dictionary and not dictionary.is_full:
-                    dictionary.add(entry)
+                    add(entry)
 
+        opcodes = [tuple(rec.opcode_id for rec in block) for block in blocks]
+        occurrences: Dict[int, List[Tuple[int, int]]] = {}
+        for b, block_opcodes in enumerate(opcodes):
+            for pos, opcode_id in enumerate(block_opcodes):
+                occurrences.setdefault(opcode_id, []).append((b, pos))
+        parses = [parse_block(dictionary, block) for block in blocks]
+        keys = [
+            self._candidate_keys(block, tokens, plans)
+            for block, tokens in zip(blocks, parses)
+        ]
         for _cycle in range(self.max_cycles):
             if dictionary.is_full:
                 break
-            parses = [parse_block(dictionary, block) for block in blocks]
-            candidates = self._gather_candidates(dictionary, blocks, parses)
-            inserted = 0
-            for gain, entry in candidates:
-                if gain <= 0 or dictionary.is_full:
+            first_new = len(dictionary)
+            for _gain, kind, key in _ranked_candidates(keys, storage):
+                if dictionary.is_full:
                     break
-                if entry in dictionary:
-                    continue
-                dictionary.add(entry)
-                inserted += 1
-                if inserted >= self.batch_inserts:
-                    break
-            if inserted == 0:
+                entry = _candidate_entry(dictionary.entries, kind, key)
+                if entry not in dictionary:
+                    add(entry)
+                    if len(dictionary) - first_new >= self.batch_inserts:
+                        break
+            if len(dictionary) == first_new:
                 break
-        return dictionary
+            touched = {
+                b
+                for entry in dictionary.entries[first_new:]
+                for b, pos in occurrences[entry.opcodes[0]]
+                if _matches(entry, opcodes[b], blocks[b], pos)
+            }
+            for b in touched:
+                parses[b] = parse_block(dictionary, blocks[b])
+                keys[b] = self._candidate_keys(blocks[b], parses[b], plans)
+        return dictionary, plans, parses
 
-    def _gather_candidates(
+    def _candidate_keys(
         self,
-        dictionary: Dictionary,
-        blocks: Sequence[Sequence[InstrRec]],
-        parses: Sequence[Sequence[ParsedToken]],
-    ) -> List[Tuple[int, DictEntry]]:
-        """Score every candidate insertion, best gain first."""
-        entries = dictionary.entries
-        pair_counts: Counter = Counter()
-        triple_counts: Counter = Counter()
-        reg_counts: Counter = Counter()
-        imm16_counts: Counter = Counter()
-        imm26_counts: Counter = Counter()
-
-        for block, tokens in zip(blocks, parses):
-            if self.enable_groups:
-                for i in range(len(tokens) - 1):
-                    pair_counts[(tokens[i][0], tokens[i + 1][0])] += 1
-                if self.max_group_tokens >= 3:
-                    for i in range(len(tokens) - 2):
-                        triple_counts[
-                            (tokens[i][0], tokens[i + 1][0], tokens[i + 2][0])
-                        ] += 1
-            for index, pos in tokens:
-                entry = entries[index]
-                for j in range(entry.length):
-                    rec = block[pos + j]
-                    if self.enable_reg_binding:
-                        for slot, value in enumerate(rec.regs):
-                            if entry.reg_binding(j, slot) is None:
-                                reg_counts[(index, j, slot, value)] += 1
-                    if self.enable_imm_binding:
-                        if rec.imm16 is not None and entry.imm16_binding(j) is None:
-                            imm16_counts[(index, j, rec.imm16)] += 1
-                        if rec.imm26 is not None and entry.imm26_binding(j) is None:
-                            imm26_counts[(index, j, rec.imm26)] += 1
-
-        scored: List[Tuple[int, DictEntry]] = []
-        for (a, b), f in pair_counts.items():
-            entry = entries[a].concat(entries[b])
-            scored.append((f * 8 - entry.storage_bits, entry))
-        for (a, b, c), f in triple_counts.items():
-            entry = entries[a].concat(entries[b]).concat(entries[c])
-            scored.append((f * 16 - entry.storage_bits, entry))
-        for (index, j, slot, value), f in reg_counts.items():
-            entry = entries[index].bind_reg(j, slot, value)
-            scored.append((f * 5 - entry.storage_bits, entry))
-        for (index, j, value), f in imm16_counts.items():
-            entry = entries[index].bind_imm16(j, value)
-            scored.append((f * 16 - entry.storage_bits, entry))
-        for (index, j, value), f in imm26_counts.items():
-            entry = entries[index].bind_imm26(j, value)
-            scored.append((f * 26 - entry.storage_bits, entry))
-        scored.sort(key=lambda item: item[0], reverse=True)
-        return scored
+        block: Sequence[InstrRec],
+        tokens: Sequence[ParsedToken],
+        plans: Sequence[OperandPlan],
+    ) -> CandidateKeys:
+        """Every candidate occurrence in one parsed block."""
+        pairs: List[tuple] = []
+        triples: List[tuple] = []
+        regs: List[tuple] = []
+        imm16s: List[tuple] = []
+        imm26s: List[tuple] = []
+        if self.enable_groups:
+            indices = [index for index, _pos in tokens]
+            pairs = list(zip(indices, indices[1:]))
+            triples = list(zip(indices, indices[1:], indices[2:]))
+        for index, pos in tokens:
+            for j, slots, imm16, imm26 in plans[index]:
+                rec = block[pos + j]
+                if self.enable_reg_binding:
+                    for slot in slots:
+                        regs.append((index, j, slot, rec.regs[slot]))
+                if self.enable_imm_binding:
+                    if imm16:
+                        imm16s.append((index, j, rec.imm16))
+                    if imm26:
+                        imm26s.append((index, j, rec.imm26))
+        return pairs, triples, regs, imm16s, imm26s
 
     # -- entropy coding ---------------------------------------------------
 
     def _collect_symbols(
         self,
-        dictionary: Dictionary,
         blocks: Sequence[Sequence[InstrRec]],
         parses: Sequence[Sequence[ParsedToken]],
+        plans: Sequence[OperandPlan],
     ) -> Dict[str, Counter]:
         """Final-parse symbol statistics per stream, for Huffman tables."""
         counters = {
@@ -306,16 +419,14 @@ class MipsSadcCodec:
         for block, tokens in zip(blocks, parses):
             for index, pos in tokens:
                 counters["tokens"][index] += 1
-                entry = dictionary.entries[index]
-                for j in range(entry.length):
+                for j, slots, imm16, imm26 in plans[index]:
                     rec = block[pos + j]
-                    for slot, value in enumerate(rec.regs):
-                        if entry.reg_binding(j, slot) is None:
-                            counters["regs"][value] += 1
-                    if rec.imm16 is not None and entry.imm16_binding(j) is None:
+                    for slot in slots:
+                        counters["regs"][rec.regs[slot]] += 1
+                    if imm16:
                         counters["imm16_hi"][rec.imm16 >> 8] += 1
                         counters["imm16_lo"][rec.imm16 & 0xFF] += 1
-                    if rec.imm26 is not None and entry.imm26_binding(j) is None:
+                    if imm26:
                         counters["imm26_hi"][rec.imm26 >> 16] += 1
                         counters["imm26_lo"][(rec.imm26 >> 8) & 0xFF] += 1
                         counters["imm26_lo"][rec.imm26 & 0xFF] += 1
@@ -323,25 +434,23 @@ class MipsSadcCodec:
 
     def _encode_block(
         self,
-        dictionary: Dictionary,
         codes: Dict[str, HuffmanCode],
         block: Sequence[InstrRec],
         tokens: Sequence[ParsedToken],
+        plans: Sequence[OperandPlan],
     ) -> bytes:
         writer = BitWriter()
         encoders = {name: HuffmanEncoder(code) for name, code in codes.items()}
         for index, pos in tokens:
             encoders["tokens"].encode_to(writer, [index])
-            entry = dictionary.entries[index]
-            for j in range(entry.length):
+            for j, slots, imm16, imm26 in plans[index]:
                 rec = block[pos + j]
-                for slot, value in enumerate(rec.regs):
-                    if entry.reg_binding(j, slot) is None:
-                        encoders["regs"].encode_to(writer, [value])
-                if rec.imm16 is not None and entry.imm16_binding(j) is None:
+                for slot in slots:
+                    encoders["regs"].encode_to(writer, [rec.regs[slot]])
+                if imm16:
                     encoders["imm16_hi"].encode_to(writer, [rec.imm16 >> 8])
                     encoders["imm16_lo"].encode_to(writer, [rec.imm16 & 0xFF])
-                if rec.imm26 is not None and entry.imm26_binding(j) is None:
+                if imm26:
                     encoders["imm26_hi"].encode_to(writer, [rec.imm26 >> 16])
                     encoders["imm26_lo"].encode_to(writer, [(rec.imm26 >> 8) & 0xFF])
                     encoders["imm26_lo"].encode_to(writer, [rec.imm26 & 0xFF])
@@ -389,13 +498,15 @@ class MipsSadcCodec:
         blocks = self._decode_blocks(code)
         if dictionary is None:
             with rec.span("sadc.build_dictionary", isa="mips"):
-                dictionary = self.build_dictionary(blocks)
-        parses = [parse_block(dictionary, block) for block in blocks]
-        counters = self._collect_symbols(dictionary, blocks, parses)
+                dictionary, plans, parses = self._grow(blocks)
+        else:
+            plans = [_operand_plan(entry) for entry in dictionary.entries]
+            parses = [parse_block(dictionary, block) for block in blocks]
+        counters = self._collect_symbols(blocks, parses, plans)
         codes = {name: build_code(counter) for name, counter in counters.items()}
         with rec.span("sadc.encode", isa="mips"):
             payload = [
-                self._encode_block(dictionary, codes, block, tokens)
+                self._encode_block(codes, block, tokens, plans)
                 for block, tokens in zip(blocks, parses)
             ]
         model_bits = dictionary.storage_bits + self._table_bits(codes)

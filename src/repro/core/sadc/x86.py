@@ -127,13 +127,11 @@ class X86SadcCodec:
         max_entries: int = 256,
         batch_inserts: int = 8,
         max_cycles: int = 64,
-        max_group_tokens: int = 3,
     ) -> None:
         self.block_size = block_size
         self.max_entries = max_entries
         self.batch_inserts = max(1, batch_inserts)
         self.max_cycles = max_cycles
-        self.max_group_tokens = max_group_tokens
 
     # -- decomposition --------------------------------------------------
 
@@ -174,9 +172,8 @@ class X86SadcCodec:
             for tokens in parses:
                 for i in range(len(tokens) - 1):
                     pair_counts[(tokens[i], tokens[i + 1])] += 1
-                if self.max_group_tokens >= 3:
-                    for i in range(len(tokens) - 2):
-                        triple_counts[(tokens[i], tokens[i + 1], tokens[i + 2])] += 1
+                for i in range(len(tokens) - 2):
+                    triple_counts[(tokens[i], tokens[i + 1], tokens[i + 2])] += 1
             scored: List[Tuple[int, X86Entry]] = []
             for (a, b), f in pair_counts.items():
                 entry = dictionary.entries[a] + dictionary.entries[b]
