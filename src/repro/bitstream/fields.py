@@ -97,7 +97,4 @@ def chunk_words(data: bytes, word_bytes: int) -> List[int]:
 
 def words_to_bytes(words: Iterable[int], word_bytes: int) -> bytes:
     """Serialise fixed-width words back to big-endian bytes."""
-    out = bytearray()
-    for word in words:
-        out.extend(int(word).to_bytes(word_bytes, "big"))
-    return bytes(out)
+    return b"".join([int(word).to_bytes(word_bytes, "big") for word in words])

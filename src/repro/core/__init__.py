@@ -24,18 +24,42 @@ from repro.core.serialize import (
 )
 
 
-# repro: contract decode-entry
-def decompress_image(image: CompressedImage) -> bytes:
-    """Decompress any image this package produced, by algorithm."""
+def block_codec(image: CompressedImage):
+    """The block codec that decodes ``image``, configured from its metadata.
+
+    Every codec it returns serves ``decompress``, ``decompress_block``
+    and ``decompress_blocks``.  Build it once per image and reuse it:
+    the refill engine's fetch port decodes every miss through one.
+    Raises :class:`ValueError` for an algorithm or SADC ISA this package
+    does not produce.
+    """
     if image.algorithm == "SAMC":
-        return samc_decompress(image)
+        return SamcCodec(
+            word_bits=image.metadata["word_bits"],
+            streams=[spec.positions for spec in image.metadata["streams"]],
+            connect_bits=image.metadata["connect_bits"],
+            block_size=image.block_size,
+            probability_mode=image.metadata["probability_mode"],
+        )
     if image.algorithm == "SADC":
-        return sadc_decompress(image)
+        isa = image.metadata.get("isa")
+        if isa == "mips":
+            return MipsSadcCodec(block_size=image.block_size)
+        if isa == "x86":
+            return X86SadcCodec(block_size=image.block_size)
+        raise ValueError(f"image has unknown ISA {isa!r}")
     if image.algorithm == "byte-huffman":
         from repro.baselines.byte_huffman import ByteHuffmanCodec
 
-        return ByteHuffmanCodec(image.block_size).decompress(image)
+        return ByteHuffmanCodec(image.block_size)
     raise ValueError(f"unknown algorithm {image.algorithm!r}")
+
+
+# repro: contract decode-entry
+def decompress_image(image: CompressedImage) -> bytes:
+    """Decompress any image this package produced, by algorithm."""
+    return block_codec(image).decompress(image)
+
 
 __all__ = [
     "CompactLAT",
@@ -45,6 +69,7 @@ __all__ = [
     "SamcCodec",
     "SerializationError",
     "X86SadcCodec",
+    "block_codec",
     "build_lat",
     "decompress_image",
     "deserialize_image",

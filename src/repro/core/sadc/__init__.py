@@ -17,12 +17,9 @@ def sadc_compress(code: bytes, isa: str = "mips", **kwargs) -> CompressedImage:
 
 def sadc_decompress(image: CompressedImage) -> bytes:
     """Decompress an image produced by :func:`sadc_compress`."""
-    isa = image.metadata.get("isa")
-    if isa == "mips":
-        return MipsSadcCodec(block_size=image.block_size).decompress(image)
-    if isa == "x86":
-        return X86SadcCodec(block_size=image.block_size).decompress(image)
-    raise ValueError(f"image has unknown ISA {isa!r}")
+    from repro.core import block_codec
+
+    return block_codec(image).decompress(image)
 
 
 __all__ = [

@@ -24,6 +24,7 @@ from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.core.lat import CompressedImage
 from repro.core.samc.model import SamcModel
 from repro.core.samc.streams import contiguous_streams, optimize_streams
+import repro.fastpath.samc_kernel as samc_kernel
 from repro.fastpath import fastpath_enabled
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
@@ -186,9 +187,7 @@ class SamcCodec:
             )
         model = SamcModel(self.word_bits, streams, self.connect_bits)
         if fastpath_enabled():
-            from repro.fastpath.samc_kernel import train_model_fast
-
-            train_model_fast(
+            samc_kernel.train_model_fast(
                 model,
                 chunk_words(code, self.word_bytes),
                 self.block_size // self.word_bytes,
@@ -230,10 +229,8 @@ class SamcCodec:
             )
         rec = get_recorder()
         if fastpath_enabled():
-            from repro.fastpath.samc_kernel import compiled_model
-
             with rec.span("samc.encode", path="fastpath"):
-                blocks = compiled_model(model).encode_blocks(
+                blocks = samc_kernel.compiled_model(model).encode_blocks(
                     chunk_words(code, self.word_bytes),
                     self.block_size // self.word_bytes,
                 )
@@ -293,8 +290,6 @@ class SamcCodec:
             return [
                 self.decompress_block(image, index) for index in indices
             ]
-        from repro.fastpath.samc_kernel import compiled_model
-
         model: SamcModel = image.metadata["model"]
         word_counts = [
             image.original_block_size(index) // self.word_bytes
@@ -304,7 +299,7 @@ class SamcCodec:
         with rec.span("samc.decode_batch", blocks=len(indices)), \
                 decode_guard("samc.decompress_blocks"):
             payloads = [block_payload(image, index) for index in indices]
-            batches = compiled_model(model).decode_blocks(
+            batches = samc_kernel.compiled_model(model).decode_blocks(
                 payloads, word_counts
             )
         if rec.enabled:
@@ -327,9 +322,9 @@ class SamcCodec:
                 decode_guard("samc.decompress_block"):
             payload = block_payload(image, block_index)
             if fastpath_enabled():
-                from repro.fastpath.samc_kernel import compiled_model
-
-                words = compiled_model(model).decode_block(payload, word_count)
+                words = samc_kernel.compiled_model(model).decode_block(
+                    payload, word_count
+                )
             else:
                 decoder = BinaryArithmeticDecoder(payload)
                 words = model.walk_decode(word_count, decoder.decode_bit)
@@ -378,11 +373,6 @@ def samc_compress(code: bytes, **kwargs) -> CompressedImage:
 
 def samc_decompress(image: CompressedImage) -> bytes:
     """Decompress an image produced by :func:`samc_compress`."""
-    codec = SamcCodec(
-        word_bits=image.metadata["word_bits"],
-        streams=[spec.positions for spec in image.metadata["streams"]],
-        connect_bits=image.metadata["connect_bits"],
-        block_size=image.block_size,
-        probability_mode=image.metadata["probability_mode"],
-    )
-    return codec.decompress(image)
+    from repro.core import block_codec
+
+    return block_codec(image).decompress(image)

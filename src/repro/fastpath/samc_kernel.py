@@ -17,9 +17,14 @@ scalar index *per coded bit* (``walk_encode`` → ``p0_quantized`` →
   the reference encoder uses (:func:`repro.entropy.arith.flush_interval`).
 * **Decoding** (:meth:`CompiledSamcModel.decode_block`) — inherently
   sequential (each decoded bit steers the walk), so the win comes from
-  compiling the frozen model into flat Python integer lists indexed by
-  ``context * nodes + node`` and inlining the range decoder: zero
-  attribute lookups or method calls per bit.
+  spending fewer Python operations per coded bit.  The range decoder is
+  inlined and keeps ``D = (code - low) mod 2**32`` instead of the code
+  register; each stream walks its tree by heap index into one Python
+  row per context; the leaf node it ends on looks up the stream's word
+  bits and the next context; and the renormalisation loop is entered
+  only while ``rng < 2**24``, the one range in which it can shift.  No
+  attribute lookups or method calls per bit, and the tables are built
+  on the first decode, so compiling a model for encoding stays cheap.
 * **Batch decoding** (:meth:`CompiledSamcModel.decode_blocks`) — blocks
   are independent by construction (coder state, Markov context, and tree
   pointers all reset at block boundaries), and every block follows the
@@ -45,8 +50,10 @@ linearly in it — so vectorisation only wins above a crossover batch
 threshold the batch entry points fall back to the fused scalar loops, so
 small batches never regress.
 
-Every loop is a line-for-line port of the reference control flow, so the
-output is bit-identical; the golden-vector and differential tests pin it.
+Every loop follows the reference control flow (where the scalar decoder
+departs from it, its docstring shows why the state trajectory is the
+same), so the output is bit-identical; the golden-vector and
+differential tests pin it.
 """
 
 from __future__ import annotations
@@ -158,14 +165,28 @@ def train_model_fast(  # repro: noqa dual-path-drift (oracle is SamcModel.train_
         )
 
 
-class CompiledSamcModel:
-    """A frozen :class:`SamcModel` compiled to flat integer tables.
+def _deposit_table(shifts: Sequence[int]) -> List[int]:
+    """Prefix → word bits for one stream.
 
-    Construction converts every stream's quantised-probability table to a
-    flat Python list (``p0[context * nodes + node]``) and precomputes the
-    bit-placement shifts and context masks, so the coding loops touch
-    only local integers.  Quantisation happened once at freeze time;
-    nothing here ever re-quantises.
+    Entry ``p`` places the bits of the ``len(shifts)``-bit prefix ``p``
+    (first decoded bit most significant) at their word positions, so a
+    whole stream's decoded bits land in the word with one lookup.
+    """
+    table = [0]
+    for shift in shifts:
+        bit = 1 << shift
+        table = [word | extra for word in table for extra in (0, bit)]
+    return table
+
+
+class CompiledSamcModel:
+    """A frozen :class:`SamcModel` compiled to integer tables.
+
+    Construction validates every stream's quantised-probability table
+    and precomputes the bit-placement shifts and context masks; the
+    decoders' tables are built from them on first use, so compiling a
+    model for encoding alone stays cheap.  Quantisation happened once at
+    freeze time; nothing here ever re-quantises.
     """
 
     def __init__(self, model: SamcModel) -> None:
@@ -173,18 +194,15 @@ class CompiledSamcModel:
         self.connect_bits = model.connect_bits
         self.specs = model.specs
         self._tables = [sm.frozen_table for sm in model.stream_models]
-        self._streams = []
         prob_one = 1 << PROB_BITS
-        for spec, stream_model in zip(model.specs, model.stream_models):
-            k = spec.k
-            shifts = tuple(model.width - 1 - p for p in spec.positions)
-            mask = (1 << min(model.connect_bits, k)) - 1 if model.connect_bits else 0
-            p0_flat = stream_model.frozen_table.ravel().tolist()
+        for table in self._tables:
             # A probability of 0 (or PROB_ONE) collapses the range
             # coder's split to nothing and the decode renormalisation
-            # loop below would never terminate; tables reaching this
-            # point from deserialisation are untrusted, so reject here.
-            if p0_flat and not (1 <= min(p0_flat) and max(p0_flat) <= prob_one - 1):
+            # loop would never terminate; tables reaching this point
+            # from deserialisation are untrusted, so reject here.
+            if table.size and not (
+                1 <= table.min() and table.max() <= prob_one - 1
+            ):
                 from repro.resilience.errors import (
                     CATEGORY_STRUCTURE,
                     CorruptedStreamError,
@@ -195,12 +213,42 @@ class CompiledSamcModel:
                     f"[1, {prob_one - 1}]",
                     category=CATEGORY_STRUCTURE,
                 )
-            self._streams.append(
-                (shifts, stream_model.node_count, p0_flat, mask)
+        #: Per stream: bit-placement shifts and next-context mask.
+        self._streams = [
+            (
+                tuple(model.width - 1 - p for p in spec.positions),
+                (1 << min(model.connect_bits, spec.k)) - 1
+                if model.connect_bits else 0,
             )
-        # Lockstep batch tables ((depth views, deposit LUT, ...) per
-        # stream) are built lazily on the first batch call.
+            for spec in model.specs
+        ]
+        # Decoder tables are built lazily: the scalar ones on the first
+        # decode_block, the lockstep batch ones on the first batch call.
+        self._decode_streams: Optional[list] = None
         self._batch_streams: Optional[list] = None
+
+    def _compile_decode(self) -> list:
+        """Per-stream tables for :meth:`decode_block` (cached).
+
+        For each stream: its probability table as one Python row per
+        context (indexed by heap node), the depth range, and two tables
+        indexed by the leaf node the walk ends on — the stream's word
+        bits (the :func:`_deposit_table` prefix entries behind one
+        zero per internal node) and the next stream's context.
+        """
+        if self._decode_streams is None:
+            compiled = []
+            for table, (shifts, ctx_mask) in zip(self._tables, self._streams):
+                deposit = _deposit_table(shifts)
+                internal = [0] * (len(deposit) - 1)
+                compiled.append((
+                    table.tolist(),
+                    range(len(shifts)),
+                    internal + deposit,
+                    internal + [p & ctx_mask for p in range(len(deposit))],
+                ))
+            self._decode_streams = compiled
+        return self._decode_streams
 
     def _compile_batch(self) -> Optional[list]:
         """Per-stream arrays for the lockstep batch coders (cached).
@@ -208,26 +256,23 @@ class CompiledSamcModel:
         For each stream: the quantised-probability table sliced into one
         view per tree depth (folding the ``(1 << depth) - 1`` node base
         into the view offset, so the per-bit gather is a single ``take``)
-        and a prefix→word-bits deposit LUT that places a whole stream's
-        decoded bits with one gather instead of one shift-or per bit.
+        and the prefix→word-bits deposit table shared with
+        :meth:`decode_block`, which places a whole stream's decoded bits
+        with one gather instead of one shift-or per bit.
         """
         if self._batch_streams is not None:
             return self._batch_streams
-        if any(len(shifts) > _MAX_LUT_DEPTH for shifts, *_ in self._streams):
+        if any(len(shifts) > _MAX_LUT_DEPTH for shifts, _ in self._streams):
             return None
         compiled = []
-        for shifts, nodes, p0_flat, ctx_mask in self._streams:
-            table = np.asarray(p0_flat, dtype=np.int64)
+        for table, (shifts, ctx_mask), (_, _, leaf_word, _) in zip(
+            self._tables, self._streams, self._compile_decode()
+        ):
             k = len(shifts)
-            lut = np.zeros(1 << k, dtype=np.int64)
-            for prefix in range(1 << k):
-                word = 0
-                for depth, shift in enumerate(shifts):
-                    if (prefix >> (k - 1 - depth)) & 1:
-                        word |= 1 << shift
-                lut[prefix] = word
-            views = [table[(1 << depth) - 1:] for depth in range(k)]
-            compiled.append((k, nodes, views, lut, ctx_mask))
+            flat = table.ravel()
+            lut = np.asarray(leaf_word[(1 << k) - 1:], dtype=np.int64)
+            views = [flat[(1 << depth) - 1:] for depth in range(k)]
+            compiled.append((k, table.shape[1], views, lut, ctx_mask))
         self._batch_streams = compiled
         return compiled
 
@@ -310,50 +355,77 @@ class CompiledSamcModel:
     # -- decode --------------------------------------------------------
 
     def decode_block(self, payload: bytes, word_count: int) -> List[int]:
-        """Decode one cache block: fused Markov walk + range decoder."""
-        word_mask, top, bot, prob_bits = _MASK, _TOP, _BOT, PROB_BITS
+        """Decode one cache block: fused Markov walk + range decoder.
+
+        The coder state lives in locals, and each coded bit costs one
+        row lookup, a multiply, a compare and a few adds:
+
+        * Instead of the ``code`` register the loop keeps ``D = (code -
+          low) mod 2**32``, as :meth:`_decode_blocks_vec` does: the bit
+          test is ``D < split``, a 1-bit subtracts ``split`` from ``D``,
+          and a renormalisation shifts the next byte into ``D``.
+        * Each stream walks its tree by heap index (``node = 2*node + 1 +
+          bit`` from the root 0) into the current context's probability
+          row.  The leaf node it ends on indexes two tables, the
+          stream's word bits and the next stream's context.
+        * Renormalisation is entered only while ``rng < 2**24``.  Every
+          reachable state has ``low + rng <= 2**32``: a 0-bit shrinks
+          ``rng``, a 1-bit moves ``split`` from ``rng`` to ``low`` (so
+          ``low`` needs no mask there), a settled shift drops the top
+          byte that ``low`` and ``low + rng`` share, and an underflow
+          shift lands the sum exactly on ``2**32``.  The sum stays at
+          ``2**32`` only while ``rng < 2**24``: bits shrink ``rng``, no
+          shift there can be settled, and an underflow shift keeps
+          ``rng`` and scales it from below ``2**16``.  So while ``rng >=
+          2**24``, ``low + rng`` is below ``2**32`` and at least ``2**24``
+          above ``low``: their top bytes differ (not settled) and ``rng
+          >= 2**16`` (no underflow), so the reference loop would not
+          shift either.  Inside the loop ``rng << 8`` stays within 32
+          bits, and the settled test needs no mask on ``low + rng`` (at
+          ``2**32`` both forms read unsettled).
+
+        Reads past the end of ``payload`` see zeros, as in the reference
+        :class:`~repro.entropy.arith.BinaryArithmeticDecoder`.
+        """
+        mask, top, bot, prob_bits = _MASK, _TOP, _BOT, PROB_BITS
+        streams = self._compile_decode()
         data = payload
         dlen = len(data)
         low = 0
-        rng = word_mask
-        code = 0
+        rng = mask
+        D = 0
         pos = 0
         for _ in range(4):
-            code = ((code << 8) | (data[pos] if pos < dlen else 0)) & word_mask
+            D = (D << 8) | (data[pos] if pos < dlen else 0)
             pos += 1
-        streams = self._streams
         words: List[int] = []
         context = 0
         for _ in range(word_count):
             word = 0
-            for shifts, nodes, p0_flat, ctx_mask in streams:
-                base = context * nodes
-                prefix = 0
-                node_base = 0  # (1 << depth) - 1, tracked incrementally
-                for shift in shifts:
-                    p0 = p0_flat[base + node_base + prefix]
-                    split = (rng >> prob_bits) * p0
-                    if ((code - low) & word_mask) < split:
+            for rows, depths, leaf_word, leaf_context in streams:
+                row = rows[context]
+                node = 0
+                for _ in depths:
+                    split = (rng >> prob_bits) * row[node]
+                    if D < split:
                         rng = split
-                        prefix <<= 1
+                        node += node + 1
                     else:
-                        low = (low + split) & word_mask
+                        D -= split
+                        low += split
                         rng -= split
-                        prefix = (prefix << 1) | 1
-                        word |= 1 << shift
-                    while True:  # repro: noqa loop-progress (pos advances every iteration; exits once the block's word count is met - differential-tested)
-                        if ((low ^ (low + rng)) & word_mask) < top:
-                            pass
-                        elif rng < bot:
+                        node += node + 2
+                    while rng < top:  # repro: noqa loop-progress (pos advances every iteration; rng >= 1 grows 256x per shift, bar one underflow that cannot raise it, so the loop ends within a few shifts - differential-tested)
+                        if (low ^ (low + rng)) >= top:
+                            if rng >= bot:
+                                break
                             rng = (-low) & (bot - 1)
-                        else:
-                            break
-                        code = ((code << 8) | (data[pos] if pos < dlen else 0)) & word_mask
+                        D = ((D << 8) | (data[pos] if pos < dlen else 0)) & mask
                         pos += 1
-                        low = (low << 8) & word_mask
-                        rng = (rng << 8) & word_mask
-                    node_base = node_base + node_base + 1
-                context = prefix & ctx_mask
+                        low = (low << 8) & mask
+                        rng <<= 8
+                word |= leaf_word[node]
+                context = leaf_context[node]
             words.append(word)
         return words
 
@@ -390,12 +462,19 @@ class CompiledSamcModel:
         and the Markov prefix/context, held as length-``batch`` arrays.
         Instead of the coder's ``code`` register we track
         ``D = (code - low) & MASK`` (the branch test needs only ``D``,
-        saving one vector op per bit); finished blocks (past their word
-        count) are masked out of renormalisation, so their read pointers
-        freeze and live blocks march through *exactly* the scalar byte
-        sequence.  Payload bytes live in one flat zero-padded array with
-        a per-block stride — the same "reads past the end see zeros"
-        convention as the scalar loop.
+        saving one vector op per bit).  Every reachable state keeps
+        ``low + rng <= 2**32`` (see :meth:`decode_block`), so ``low``
+        needs no mask after a 1-bit, the settled test none on ``low +
+        rng``, and a shifting block's ``rng << 8`` none either.  A block
+        that does not renormalise shifts by 0 bits and ORs in a zeroed
+        byte, which keeps every step unmasked arithmetic.  Finished
+        blocks (past their word count) never renormalise, so their read
+        pointers freeze and live blocks march through *exactly* the
+        scalar byte sequence.  Payload bytes live in one flat
+        zero-padded array with a per-block stride, and a read past a
+        block's payload is clamped to the zero just after it — the same
+        "reads past the end see zeros" convention as the scalar loop,
+        however far a corrupted block reads.
         """
         batch = len(payloads)
         if batch == 0:
@@ -403,6 +482,7 @@ class CompiledSamcModel:
         max_words = max(word_counts)
         if max_words == 0:
             return [[] for _ in payloads]
+        min_words = min(word_counts)
         stride = max(len(p) for p in payloads) + 8
         padded = bytearray(batch * stride)
         for i, payload in enumerate(payloads):
@@ -414,23 +494,25 @@ class CompiledSamcModel:
         rng = np.full(batch, _MASK, dtype=np.int64)
         D = np.zeros(batch, dtype=np.int64)
         pos = np.arange(batch, dtype=np.int64) * stride
+        end = pos + np.array([len(p) for p in payloads], dtype=np.int64)
         for _ in range(4):
             D <<= 8
-            D |= flat.take(pos)
+            D |= flat.take(np.minimum(pos, end))
             pos += 1
         context = np.zeros(batch, dtype=np.int64)
         words = np.zeros((batch, max_words), dtype=np.int64)
 
-        # Preallocated scratch: the per-bit step runs allocation-free.
+        # Preallocated scratch for the per-bit step.
         idx = np.empty(batch, dtype=np.int64)
         ctx_base = np.empty(batch, dtype=np.int64)
         p0 = np.empty(batch, dtype=np.int64)
         split = np.empty(batch, dtype=np.int64)
         t1 = np.empty(batch, dtype=np.int64)
-        t2 = np.empty(batch, dtype=np.int64)
         bs = np.empty(batch, dtype=np.int64)
+        shift = np.empty(batch, dtype=np.int64)
         prefix = np.empty(batch, dtype=np.int64)
         bit = np.empty(batch, dtype=bool)
+        settled = np.empty(batch, dtype=bool)
         under = np.empty(batch, dtype=bool)
         need = np.empty(batch, dtype=bool)
         shift_in = np.empty(batch, dtype=bool)
@@ -438,6 +520,7 @@ class CompiledSamcModel:
         live = np.empty(batch, dtype=bool)
 
         for w in range(max_words):
+            ragged = w >= min_words  # some block has finished
             np.greater(wc, w, out=live)
             word[:] = 0
             for k, nodes, views, lut, ctx_mask in compiled:
@@ -451,13 +534,9 @@ class CompiledSamcModel:
                     np.greater_equal(D, split, out=bit)
                     np.multiply(split, bit, out=bs)
                     D -= bs
-                    # `low` stays unmasked: every consumer below is
-                    # invariant mod 2**32, and int64 cannot overflow
-                    # within a block's 2**32-bounded additions.
                     low += bs
                     np.subtract(rng, split, out=t1)
-                    np.copyto(rng, split)
-                    np.copyto(rng, t1, where=bit)
+                    rng = np.where(bit, t1, split)
                     prefix += prefix
                     prefix += bit
                     while True:
@@ -467,37 +546,36 @@ class CompiledSamcModel:
                         # underflowed below 2**16.
                         np.add(low, rng, out=t1)
                         np.bitwise_xor(t1, low, out=t1)
-                        t1 &= _MASK
-                        np.greater_equal(t1, _TOP, out=need)  # unsettled
+                        np.less(t1, _TOP, out=settled)
                         np.less(rng, _BOT, out=under)
-                        np.logical_not(need, out=shift_in)    # settled
-                        np.logical_or(shift_in, under, out=shift_in)
-                        np.logical_and(shift_in, live, out=shift_in)
+                        np.logical_or(settled, under, out=shift_in)
+                        if ragged:
+                            np.logical_and(shift_in, live, out=shift_in)
                         if not shift_in.any():
                             break
-                        np.logical_and(need, under, out=need)  # underflow
-                        np.logical_and(need, live, out=need)
+                        np.greater(under, settled, out=need)  # underflow
+                        if ragged:
+                            np.logical_and(need, live, out=need)
                         if need.any():
                             np.negative(low, out=t1)
                             t1 &= _BOT - 1
-                            np.copyto(rng, t1, where=need)
-                        np.left_shift(D, 8, out=t1)
-                        t1 |= flat.take(pos)
-                        t1 &= _MASK
-                        np.copyto(D, t1, where=shift_in)
+                            rng = np.where(need, t1, rng)
+                        np.multiply(shift_in, 8, out=shift)
+                        byte = flat.take(np.minimum(pos, end, out=t1))
+                        byte *= shift_in
+                        D <<= shift
+                        D |= byte
+                        D &= _MASK
                         pos += shift_in
-                        np.left_shift(low, 8, out=t1)
-                        t1 &= _MASK
-                        np.copyto(low, t1, where=shift_in)
-                        np.left_shift(rng, 8, out=t1)
-                        t1 &= _MASK
-                        np.copyto(rng, t1, where=shift_in)
-                np.take(lut, prefix, out=t2)
-                word |= t2
+                        low <<= shift
+                        low &= _MASK
+                        rng <<= shift
+                np.take(lut, prefix, out=bs)
+                word |= bs
                 np.bitwise_and(prefix, ctx_mask, out=context)
             words[:, w] = word
         return [
-            words[i, : word_counts[i]].tolist() for i in range(batch)
+            row[:count] for row, count in zip(words.tolist(), word_counts)
         ]
 
 

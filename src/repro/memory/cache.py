@@ -82,6 +82,13 @@ class InstructionCache:
         set_index, tag = self._locate(address)
         return tag in self._sets.get(set_index, [])
 
+    def invalidate(self, address: int) -> None:
+        """Drop the line holding ``address``, if any (stats are kept)."""
+        set_index, tag = self._locate(address)
+        ways = self._sets.get(set_index, [])
+        if tag in ways:
+            ways.remove(tag)
+
     def flush(self) -> None:
         """Invalidate all lines (stats are kept)."""
         self._sets.clear()

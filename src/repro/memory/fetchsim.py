@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import decompress_image
+from repro.core import block_codec, decompress_image
 from repro.core.lat import CompressedImage
 from repro.isa.mips.interp import MipsMachine
 from repro.memory.cache import InstructionCache
 from repro.memory.clb import CLB
 from repro.memory.refill import RefillEngine, RefillTiming
+from repro.resilience.errors import CorruptedStreamError
 
 
 @dataclass
@@ -45,7 +46,11 @@ class CompressedFetchPort:
     Installed as the machine's fetch hook.  Decompressed blocks are held
     in a dictionary standing in for the I-cache's data array; hit/miss
     and timing behaviour come from the cache/CLB/refill models.  Every
-    refill runs the real block decompressor.
+    refill runs the real block decompressor: the image's
+    :func:`~repro.core.block_codec`, resolved once per port, unless
+    ``decompress_block``/``decompress_blocks`` replace it.  A refill
+    whose decode raises leaves no line behind, so every fetch of a
+    corrupted block raises the decoder's error and none counts as a hit.
 
     ``refill_burst`` > 1 decodes the missing block and its ``burst-1``
     successors in one ``decompress_blocks`` call (the batch engine's
@@ -83,67 +88,53 @@ class CompressedFetchPort:
         #: identical for every burst size — only the number of codec
         #: invocations changes.
         self._prefetched: Dict[int, bytes] = {}
-        self._decompress_block = decompress_block or self._default_decompress
-        self._decompress_blocks = decompress_blocks or self._default_decompress_blocks
+        if decompress_block is None or decompress_blocks is None:
+            codec = block_codec(image)
+            decompress_block = decompress_block or codec.decompress_block
+            decompress_blocks = decompress_blocks or codec.decompress_blocks
+        self._decompress_block = decompress_block
+        self._decompress_blocks = decompress_blocks
 
-    def _codec_for(self, image: CompressedImage):
-        from repro.core.samc import SamcCodec, samc_decompress  # noqa: F401
-        from repro.core.sadc import MipsSadcCodec, X86SadcCodec  # noqa: F401
-
-        if image.algorithm == "SAMC":
-            return SamcCodec(
-                word_bits=image.metadata["word_bits"],
-                streams=[s.positions for s in image.metadata["streams"]],
-                connect_bits=image.metadata["connect_bits"],
-                block_size=image.block_size,
-                probability_mode=image.metadata["probability_mode"],
-            )
-        if image.algorithm == "SADC" and image.metadata.get("isa") == "mips":
-            return MipsSadcCodec(block_size=image.block_size)
-        if image.algorithm == "byte-huffman":
-            from repro.baselines.byte_huffman import ByteHuffmanCodec
-
-            return ByteHuffmanCodec(image.block_size)
-        raise ValueError(
-            f"no block decompressor for {image.algorithm!r}"
+    def _decode(self, block_index: int) -> bytes:
+        """The decompressed line for a miss on ``block_index``."""
+        line = self._prefetched.pop(block_index, None)
+        if line is not None:
+            return line
+        if self.refill_burst == 1:
+            return self._decompress_block(self.image, block_index)
+        burst = range(
+            block_index,
+            min(block_index + self.refill_burst, self.image.block_count()),
         )
-
-    def _default_decompress(self, image: CompressedImage, index: int) -> bytes:
-        return self._codec_for(image).decompress_block(image, index)
-
-    def _default_decompress_blocks(self, image: CompressedImage, indices):
-        return self._codec_for(image).decompress_blocks(image, indices)
+        try:
+            lines = self._decompress_blocks(self.image, burst)
+        except CorruptedStreamError:
+            # A corrupted block further on must not fail this miss.
+            return self._decompress_block(self.image, block_index)
+        for ahead, decoded in zip(burst[1:], lines[1:]):
+            self._prefetched[ahead] = decoded
+        return lines[0]
 
     def _touch_block(self, address: int) -> bytes:
         """Access one block through the cache, refilling on a miss."""
         block_index = address // self.image.block_size
         if self.cache.access(address):
             self.cycles += 1
-        else:
-            clb_hit = self.clb.lookup(block_index)
-            line = self._prefetched.pop(block_index, None)
-            if line is None:
-                if self.refill_burst > 1:
-                    burst = range(
-                        block_index,
-                        min(
-                            block_index + self.refill_burst,
-                            self.image.block_count(),
-                        ),
-                    )
-                    lines = self._decompress_blocks(self.image, burst)
-                    line = lines[0]
-                    for ahead, decoded in zip(burst, lines):
-                        if ahead != block_index:
-                            self._prefetched[ahead] = decoded
-                else:
-                    line = self._decompress_block(self.image, block_index)
-            self._lines[block_index] = line
-            self.refills += 1
-            self.cycles += 1 + self.engine.refill_cycles(
-                len(self.image.blocks[block_index]), len(line), clb_hit
-            )
-        return self._lines[block_index]
+            return self._lines[block_index]
+        clb_hit = self.clb.lookup(block_index)
+        try:
+            line = self._decode(block_index)
+        except BaseException:
+            # The miss already placed the tag; without a line behind it
+            # the next fetch would hit on nothing.
+            self.cache.invalidate(address)
+            raise
+        self._lines[block_index] = line
+        self.refills += 1
+        self.cycles += 1 + self.engine.refill_cycles(
+            len(self.image.blocks[block_index]), len(line), clb_hit
+        )
+        return line
 
     def fetch(self, address: int) -> int:
         """Fetch one 32-bit instruction word (big-endian, MIPS)."""

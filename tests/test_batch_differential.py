@@ -13,6 +13,7 @@ fallback.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 
@@ -25,6 +26,7 @@ from repro.baselines.byte_huffman import ByteHuffmanCodec
 from repro.baselines.lzw import lzw_compress, lzw_compress_blocks
 from repro.core.samc.codec import SamcCodec
 from repro.resilience.errors import CorruptedStreamError
+from repro.workloads.suite import generate_benchmark
 
 
 @contextmanager
@@ -91,6 +93,40 @@ def test_samc_bytes_decompress_blocks_differential(data):
     with _env(REPRO_FASTPATH="1", REPRO_BATCH_MIN="1"):
         assert codec.decompress_blocks(image, indices) == expected
     assert b"".join(expected) == data
+
+
+@functools.lru_cache(maxsize=None)
+def _go_compiled_model():
+    from repro.fastpath.samc_kernel import CompiledSamcModel
+
+    image = SamcCodec.for_mips().compress(
+        generate_benchmark("go", "mips", 0.5, 0).code
+    )
+    return CompiledSamcModel(image.metadata["model"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.one_of(
+            st.binary(max_size=40),
+            st.integers(1, 40).map(lambda n: b"\xff" * n),
+        ),
+        st.integers(0, 16),
+    ),
+    min_size=1,
+    max_size=24,
+))
+def test_samc_decode_blocks_arbitrary_payloads(blocks):
+    """The lockstep decoder equals the scalar one on corrupted payloads
+    too: a block that reads far past its payload sees zeros there,
+    never its neighbour's bytes or the end of the batch buffer."""
+    compiled = _go_compiled_model()
+    payloads = [payload for payload, _ in blocks]
+    counts = [count for _, count in blocks]
+    expected = [compiled.decode_block(p, c) for p, c in blocks]
+    with _env(REPRO_BATCH_MIN="1"):
+        assert compiled.decode_blocks(payloads, counts) == expected
 
 
 def test_samc_decompress_blocks_empty():

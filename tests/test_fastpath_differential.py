@@ -10,6 +10,9 @@ escape hatch users get, so the dispatch plumbing is exercised too.
 
 from __future__ import annotations
 
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +23,17 @@ from repro.baselines.lzw import _lzw_compress_reference, lzw_decompress
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.samc.codec import SamcCodec
 from repro.core.samc.model import SamcModel
-from repro.entropy.arith import quantize_probability
+from repro.entropy.arith import (
+    BinaryArithmeticDecoder,
+    BinaryArithmeticEncoder,
+    quantize_probability,
+)
 from repro.fastpath.lz_kernel import lzw_compress_fast, tokenize_fast
 from repro.fastpath.samc_kernel import (
     CompiledSamcModel,
     train_model_fast,
 )
+from repro.workloads.suite import generate_benchmark
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +168,6 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block):
     fast.freeze(quantize_probability)
     compiled = CompiledSamcModel(fast)
 
-    from repro.entropy.arith import BinaryArithmeticDecoder, BinaryArithmeticEncoder
-
     expected_payloads = []
     for block in blocks:
         encoder = BinaryArithmeticEncoder()
@@ -173,6 +179,114 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block):
         decoder = BinaryArithmeticDecoder(payload)
         assert reference.walk_decode(len(block), decoder.decode_bit) == block
         assert compiled.decode_block(payload, len(block)) == block
+
+
+#: (layout, probability mode, connect bits) of every decode configuration.
+DECODE_CONFIGS = [
+    (layout, mode, connect)
+    for layout in ("mips", "bytes", "optimized")
+    for mode in ("full", "full16", "pow2")
+    for connect in (0, 1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_config(layout, mode, connect):
+    """A trained image of a small program and its compiled model."""
+    if layout == "bytes":
+        codec = SamcCodec.for_bytes(probability_mode=mode, connect_bits=connect)
+    else:
+        codec = SamcCodec.for_mips(
+            probability_mode=mode,
+            connect_bits=connect,
+            optimize=layout == "optimized",
+            optimize_iterations=40,
+        )
+    image = codec.compress(generate_benchmark("go", "mips", 0.05, 0).code)
+    model = image.metadata["model"]
+    return image, model, CompiledSamcModel(model), codec.block_size // codec.word_bytes
+
+
+def test_optimized_decode_config_has_non_contiguous_streams():
+    _, model, _, _ = _decode_config("optimized", "full", 1)
+    assert any(
+        list(spec.positions) != list(range(spec.positions[0], spec.positions[0] + spec.k))
+        for spec in model.specs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DECODE_CONFIGS), st.data())
+def test_samc_decode_block_matches_reference_walk(config, data):
+    """The fused decoder equals the object walk over the reference range
+    decoder on any payload, valid or not, and any word count."""
+    image, model, compiled, block_words = _decode_config(*config)
+    payload = data.draw(st.one_of(
+        st.just(b""),
+        st.binary(max_size=6),
+        st.binary(max_size=80),
+        # Runs (0xFF above all) start the code register at or past the
+        # top of the range, the corrupted-stream states.
+        st.builds(
+            lambda byte, length, tail: bytes([byte]) * length + tail,
+            st.sampled_from([0x00, 0x7F, 0x80, 0xFE, 0xFF]),
+            st.integers(1, 48),
+            st.binary(max_size=8),
+        ),
+        st.builds(
+            lambda index, cut: image.blocks[index][:cut],
+            st.integers(0, image.block_count() - 1),
+            st.integers(0, 64),
+        ),
+    ))
+    word_count = data.draw(st.integers(0, 2 * block_words))
+    decoder = BinaryArithmeticDecoder(payload)
+    expected = model.walk_decode(word_count, decoder.decode_bit)
+    assert compiled.decode_block(payload, word_count) == expected
+
+
+def test_renormalisation_never_needed_while_range_is_wide():
+    """The fused decoder's renormalisation guard, checked on a seeded walk
+    over coder states: while ``rng >= 2**24`` neither condition of the
+    reference loop holds, and ``low + rng <= 2**32`` throughout.
+
+    Bits are drawn independently of the probabilities, so improbable
+    branches, underflows and the ``low + rng == 2**32`` states they
+    leave behind all occur; any bit sequence is some payload's decode.
+    """
+    mask, top, bot = 0xFFFFFFFF, 1 << 24, 1 << 16
+    rand = random.Random(1998)
+    extremes = [1, 2, 255, 256, 257, 32768, 65279, 65280, 65534, 65535]
+    low, rng = 0, mask
+    wide = underflows = at_ceiling = 0
+    for _ in range(150_000):
+        if rand.random() < 0.5:
+            p0 = rand.choice(extremes)
+        else:
+            p0 = rand.randint(1, 65535)
+        split = (rng >> 16) * p0
+        if rand.random() < 0.5:
+            rng = split
+        else:
+            low = (low + split) & mask
+            rng -= split
+        while True:
+            assert 1 <= rng and low + rng <= 1 << 32
+            at_ceiling += low + rng == 1 << 32
+            settled = ((low ^ (low + rng)) & mask) < top
+            if rng >= top:
+                wide += 1
+                assert not settled and rng >= bot
+            if settled:
+                pass
+            elif rng < bot:
+                rng = (-low) & (bot - 1)
+                underflows += 1
+            else:
+                break
+            low = (low << 8) & mask
+            rng = (rng << 8) & mask
+    assert wide > 100_000 and underflows > 100 and at_ceiling > 100
 
 
 @settings(max_examples=20, deadline=None)

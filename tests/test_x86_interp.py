@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.sadc import X86SadcCodec
 from repro.core.samc import SamcCodec
 from repro.isa.x86.interp import (
     EAX, EBX, ECX, EDX, ESI, ESP,
@@ -153,6 +154,17 @@ class TestKernels:
         code = kernel.code()
         image = SamcCodec.for_bytes().compress(code)
         port = CompressedFetchPort(image, cache_size=256)
+        machine = X86Machine(fetch_bytes=port.fetch_bytes)
+        machine.load_code(code)
+        kernel.setup(machine)
+        machine.run()
+        assert kernel.check(machine)
+        assert port.refills > 0
+
+    @pytest.mark.parametrize("kernel", X86_KERNELS, ids=lambda k: k.name)
+    def test_kernel_through_sadc_compressed_memory(self, kernel):
+        code = kernel.code()
+        port = CompressedFetchPort(X86SadcCodec().compress(code), cache_size=256)
         machine = X86Machine(fetch_bytes=port.fetch_bytes)
         machine.load_code(code)
         kernel.setup(machine)
