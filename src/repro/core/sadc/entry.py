@@ -50,6 +50,15 @@ class DictEntry:
         return len(self.opcodes)
 
     @property
+    def parse_rank(self) -> Tuple[int, int]:
+        """(length, bound operands): greedy parsing prefers the greater,
+        the entry that removes the most stream content."""
+        return (
+            len(self.opcodes),
+            len(self.bound_regs) + len(self.bound_imm16) + len(self.bound_imm26),
+        )
+
+    @property
     def storage_bits(self) -> int:
         """Decoder-table storage this entry consumes."""
         return (
@@ -136,6 +145,7 @@ class Dictionary:
         self.max_entries = max_entries
         self.entries: List[DictEntry] = []
         self._known: Dict[DictEntry, int] = {}
+        self._ranks: List[Tuple[int, int]] = []
         #: first base opcode -> entry indices, longest/most-bound first.
         self._by_first: Dict[int, List[int]] = {}
 
@@ -158,19 +168,12 @@ class Dictionary:
         index = len(self.entries)
         self.entries.append(entry)
         self._known[entry] = index
+        self._ranks.append(entry.parse_rank)
         bucket = self._by_first.setdefault(entry.opcodes[0], [])
         bucket.append(index)
-        # Longest coverage first, then most bindings: greedy parsing
-        # prefers the entry that removes the most stream content.
-        bucket.sort(
-            key=lambda i: (
-                self.entries[i].length,
-                len(self.entries[i].bound_regs)
-                + len(self.entries[i].bound_imm16)
-                + len(self.entries[i].bound_imm26),
-            ),
-            reverse=True,
-        )
+        # Greatest parse rank first; the sort is stable, so equal ranks
+        # stay in insertion order.
+        bucket.sort(key=self._ranks.__getitem__, reverse=True)
         return index
 
     def candidates_starting_with(self, opcode: int) -> List[int]:
