@@ -102,8 +102,13 @@ class StreamModel:
         zeros = self._counts[:, :, 0].astype(np.float64)
         totals = self._counts.sum(axis=2).astype(np.float64)
         p0 = (zeros + 0.5) / (totals + 1.0)
-        quantize = np.vectorize(quantizer, otypes=[np.int64])
-        self._p0_q = quantize(p0)
+        # Many cells share a probability (every unvisited one is 0.5),
+        # so quantise each distinct value once.
+        values, inverse = np.unique(p0, return_inverse=True)
+        quantized = np.array(
+            [quantizer(value) for value in values.tolist()], dtype=np.int64
+        )
+        self._p0_q = quantized[inverse].reshape(p0.shape)
         self._frozen = True
 
     def p0_quantized(self, context: int, node: int) -> int:

@@ -681,11 +681,16 @@ def _encode_blocks_vec(
 def _encode_span(bits: List[int], probs: List[int]) -> bytes:
     """Range-encode one block's bit/probability span.
 
-    A line-for-line inlining of ``BinaryArithmeticEncoder.encode_bit`` +
-    ``_normalize`` with the state in locals and renormalisation bytes
-    appended directly to the output ``bytearray``; terminated by the
-    shared :func:`flush_interval`, so the payload matches the reference
-    encoder byte for byte.
+    ``BinaryArithmeticEncoder.encode_bit`` + ``_normalize`` inlined, with
+    the state in locals and renormalisation bytes appended directly to
+    the output ``bytearray``; terminated by the shared
+    :func:`flush_interval`, so the payload matches the reference encoder
+    byte for byte.  The encoder's (low, rng) trajectory is the one
+    :meth:`CompiledSamcModel.decode_block` walks, so its proof holds
+    here: ``low + rng <= 2**32`` throughout, and renormalisation can
+    only shift while ``rng < 2**24``.  Hence the loop is entered only
+    there, and neither ``low + split``, ``low >> 24`` nor ``rng << 8``
+    needs a mask.
     """
     mask, top, bot, prob_bits = _MASK, _TOP, _BOT, PROB_BITS
     low = 0
@@ -695,20 +700,18 @@ def _encode_span(bits: List[int], probs: List[int]) -> bytes:
     for bit, p0 in zip(bits, probs):
         split = (rng >> prob_bits) * p0
         if bit:
-            low = (low + split) & mask
+            low += split
             rng -= split
         else:
             rng = split
-        while True:
-            if ((low ^ (low + rng)) & mask) < top:
-                pass
-            elif rng < bot:
+        while rng < top:
+            if (low ^ (low + rng)) >= top:
+                if rng >= bot:
+                    break
                 rng = (-low) & (bot - 1)
-            else:
-                break
-            append((low >> 24) & 0xFF)
+            append(low >> 24)
             low = (low << 8) & mask
-            rng = (rng << 8) & mask
+            rng <<= 8
     flush_interval(low, rng, out)
     return bytes(out)
 
@@ -734,20 +737,18 @@ def _encode_span_obs(
         before = len(out)
         split = (rng >> prob_bits) * p0
         if bit:
-            low = (low + split) & mask
+            low += split
             rng -= split
         else:
             rng = split
-        while True:
-            if ((low ^ (low + rng)) & mask) < top:
-                pass
-            elif rng < bot:
+        while rng < top:
+            if (low ^ (low + rng)) >= top:
+                if rng >= bot:
+                    break
                 rng = (-low) & (bot - 1)
-            else:
-                break
-            append((low >> 24) & 0xFF)
+            append(low >> 24)
             low = (low << 8) & mask
-            rng = (rng << 8) & mask
+            rng <<= 8
         emitted = len(out) - before
         if emitted:
             label = labels[position % n_labels]

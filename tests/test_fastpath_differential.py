@@ -21,13 +21,9 @@ from hypothesis import strategies as st
 from repro.baselines import lzss
 from repro.baselines.lzw import _lzw_compress_reference, lzw_decompress
 from repro.bitstream.io import BitReader, BitWriter
-from repro.core.samc.codec import SamcCodec
+from repro.core.samc.codec import QUANTIZERS, SamcCodec
 from repro.core.samc.model import SamcModel
-from repro.entropy.arith import (
-    BinaryArithmeticDecoder,
-    BinaryArithmeticEncoder,
-    quantize_probability,
-)
+from repro.entropy.arith import BinaryArithmeticDecoder, BinaryArithmeticEncoder
 from repro.fastpath.lz_kernel import lzw_compress_fast, tokenize_fast
 from repro.fastpath.samc_kernel import (
     CompiledSamcModel,
@@ -141,11 +137,42 @@ def _random_words(draw_bytes, word_bits):
     ]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.binary(min_size=4, max_size=320), st.integers(0, 3),
-       st.sampled_from([1, 2, 4]))
-def test_samc_kernel_differential(data, connect_bits, words_per_block):
-    """Training counts, coded blocks, and decode all match the reference."""
+def _skewed_program(word, count, outliers):
+    """``count`` copies of one word with a few others written over it."""
+    words = [word] * count
+    for index, value in outliers:
+        words[index % count] = value
+    return b"".join(w.to_bytes(4, "big") for w in words)
+
+
+#: Besides hypothesis's byte strings: one word with a few outliers, on
+#: which a model learns probabilities at the quantisers' clamps, and
+#: seeded random words, whose near-even bits emit enough bytes for the
+#: range coder's rare underflows to occur.
+samc_programs = st.one_of(
+    st.binary(min_size=4, max_size=320),
+    st.builds(
+        _skewed_program,
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 380),
+        st.lists(st.tuples(st.integers(0, 379), st.integers(0, 2**32 - 1)),
+                 max_size=6),
+    ),
+    st.builds(
+        lambda seed, count: random.Random(seed).randbytes(4 * count),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 760),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(samc_programs, st.integers(0, 3), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from(sorted(QUANTIZERS)))
+def test_samc_kernel_differential(data, connect_bits, words_per_block, mode):
+    """Training counts, coded blocks, and decode all match the reference
+    in every probability mode, on inputs that reach the quantisers'
+    clamps and the range coder's underflows (see ``samc_programs``)."""
     words = _random_words(data, 32)
     if not words:
         return
@@ -164,8 +191,8 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block):
     for ref_stream, fast_stream in zip(reference.stream_models, fast.stream_models):
         assert (ref_stream._counts == fast_stream._counts).all()
 
-    reference.freeze(quantize_probability)
-    fast.freeze(quantize_probability)
+    reference.freeze(QUANTIZERS[mode])
+    fast.freeze(QUANTIZERS[mode])
     compiled = CompiledSamcModel(fast)
 
     expected_payloads = []

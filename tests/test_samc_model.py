@@ -1,8 +1,10 @@
 """Tests for SAMC's Markov model (trees, connection, walks, storage)."""
 
+import numpy as np
 import pytest
 
 from repro.bitstream.fields import chunk_words
+from repro.core.samc.codec import QUANTIZERS
 from repro.core.samc.model import SamcModel, StreamModel, StreamSpec, node_index
 from repro.entropy.arith import quantize_probability
 
@@ -57,6 +59,25 @@ class TestStreamModel:
         model.freeze()
         with pytest.raises(RuntimeError):
             model.observe(0, 0, 0)
+
+    @pytest.mark.parametrize("mode", sorted(QUANTIZERS))
+    def test_freeze_quantises_every_cell_as_its_quantiser(self, mode):
+        # Counts from empty to lopsided: repeated, skewed and clamped
+        # probabilities all occur.
+        rng = np.random.default_rng(1998)
+        counts = rng.integers(0, 8, size=(16, 15, 2))
+        counts[::3, :, 1] = 0
+        counts[1::4] *= rng.integers(1, 5000, size=(4, 15, 1))
+        model = StreamModel(StreamSpec((0, 1, 2, 3)), contexts=16)
+        model.observe_counts(counts)
+        model.freeze(QUANTIZERS[mode])
+        quantize = QUANTIZERS[mode]
+        expected = [
+            [quantize((zeros + 0.5) / (zeros + ones + 1.0)) for zeros, ones in row]
+            for row in counts.tolist()
+        ]
+        assert model.frozen_table.dtype == np.int64
+        assert model.frozen_table.tolist() == expected
 
 
 class TestSamcModel:
