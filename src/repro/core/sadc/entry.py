@@ -29,6 +29,12 @@ BOUND_IMM16_BITS = 20
 BOUND_IMM26_BITS = 30
 
 
+def token_bits(entries: int) -> int:
+    """Width of one dictionary index in a decoder table of ``entries``
+    entries: the paper's one byte up to 256 entries, wider past that."""
+    return max(8, (entries - 1).bit_length())
+
+
 @dataclass(frozen=True)
 class DictEntry:
     """One dictionary entry: opcode group + operand bindings.

@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage, original_block_count
+from repro.core.sadc.entry import token_bits
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
@@ -251,7 +252,7 @@ class X86SadcCodec:
 
         model_bits = (
             dictionary.storage_bits
-            + codes["tokens"].table_bits(8)
+            + codes["tokens"].table_bits(token_bits(len(dictionary)))
             + codes["modrm_sib"].table_bits(8)
             + codes["imm_disp"].table_bits(8)
         )

@@ -1,17 +1,26 @@
 """Tests for the MIPS SADC stream split (opcode/register/imm16/imm26)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.sadc.mips import InstrRec
 from repro.isa.mips.asm import assemble_to_bytes
-from repro.isa.mips.formats import BY_MNEMONIC
+from repro.isa.mips.formats import BY_MNEMONIC, OPCODES, Instruction
 from repro.isa.mips.streams import (
+    REG_SLOTS,
     MipsStreams,
     merge_streams,
     register_slots,
+    split_image,
     split_streams,
+    split_words,
     uses_imm16,
     uses_imm26,
 )
+from repro.workloads.profiles import BENCHMARK_NAMES
+from repro.workloads.suite import generate_benchmark
 
 
 class TestSlotTables:
@@ -79,6 +88,14 @@ class TestSplitMerge:
         with pytest.raises(ValueError):
             split_streams(b"\x00\x00\x00")
 
+    def test_stray_bits_rejected(self):
+        # addu $v0, $a0, $a1 with shamt 3: merging its streams would
+        # drop the shamt, so the split refuses the word.
+        code = assemble_to_bytes(["addu $v0, $a0, $a1"])
+        assert code == bytes.fromhex("00851021")
+        with pytest.raises(ValueError, match="0x008510e1 .addu. is non-canonical"):
+            split_streams(bytes.fromhex("008510e1"))
+
 
 def test_generated_program_roundtrip(mips_program):
     streams = split_streams(mips_program)
@@ -95,3 +112,73 @@ def test_streams_smaller_than_word_stream(mips_program):
     # opcode ids take 8 bits but replace 6-bit op + 6-bit funct + fmt
     # bits; allow the bookkeeping band.
     assert 16 <= per_instr <= 40
+
+
+# -- the whole-image split against the per-word oracle ------------------------
+
+_FIELD_MASKS = [0x1F << 21, 0x1F << 16, 0x1F << 11, 0x1F << 6, 0xFFFFFFFF]
+
+
+@st.composite
+def _word(draw):
+    """A canonical word of any mnemonic, one with stray bits in a field,
+    or any 32-bit word."""
+    kind = draw(st.sampled_from(["canonical", "stray", "random"]))
+    if kind == "random":
+        return draw(st.integers(0, (1 << 32) - 1))
+    spec = draw(st.sampled_from(OPCODES))
+    fields = {slot: draw(st.integers(0, 31)) for slot in register_slots(spec)}
+    if uses_imm16(spec):
+        fields["imm"] = draw(st.integers(0, 0xFFFF))
+    if uses_imm26(spec):
+        fields["target"] = draw(st.integers(0, (1 << 26) - 1))
+    word = Instruction(spec, **fields).encode()
+    if kind == "stray":
+        stray = draw(st.integers(1, (1 << 32) - 1))
+        word |= stray & draw(st.sampled_from(_FIELD_MASKS))
+    return word
+
+
+def _assert_split_as_oracle(split, words):
+    """``split`` gives :meth:`InstrRec.from_word`'s ids and operand rows
+    word by word, or raises what it raises for the first bad word."""
+    ids, rows = [], []
+    for word in words:
+        try:
+            rec = InstrRec.from_word(word)
+        except ValueError as expected:
+            with pytest.raises(ValueError) as raised:
+                split()
+            assert type(raised.value) is type(expected)
+            assert str(raised.value) == str(expected)
+            return
+        ids.append(rec.opcode_id)
+        rows.append([
+            *rec.regs, *[-1] * (REG_SLOTS - len(rec.regs)),
+            -1 if rec.imm16 is None else rec.imm16,
+            -1 if rec.imm26 is None else rec.imm26,
+        ])
+    got_ids, got_rows = split()
+    assert got_ids.tolist() == ids
+    assert got_rows.tolist() == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_word(), max_size=12))
+def test_split_words_matches_the_per_word_oracle(words):
+    _assert_split_as_oracle(lambda: split_words(np.array(words, dtype=np.int64)), words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(BENCHMARK_NAMES),
+    st.integers(0, 99),
+    st.integers(0, 10_000),
+    _word(),
+)
+def test_split_image_of_a_program_with_one_word_replaced(name, seed, at, word):
+    code = bytearray(generate_benchmark(name, "mips", scale=0.02, seed=seed).code)
+    at = 4 * (at % (len(code) // 4))
+    code[at : at + 4] = word.to_bytes(4, "big")
+    words = [int.from_bytes(code[i : i + 4], "big") for i in range(0, len(code), 4)]
+    _assert_split_as_oracle(lambda: split_image(bytes(code)), words)

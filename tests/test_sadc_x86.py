@@ -122,3 +122,28 @@ class TestCodec:
         codec = X86SadcCodec()
         image = codec.compress(b"")
         assert codec.decompress(image) == b""
+
+    def test_token_table_charges_the_index_width(self, x86_program):
+        # Past 256 entries a dictionary index no longer fits a byte, so
+        # each token symbol of the decode table stores 9 bits.
+        class Padded(X86SadcCodec):
+            def build_dictionary(self, blocks):
+                dictionary = super().build_dictionary(blocks)
+                for i in range(300 - len(dictionary)):
+                    # Opcode entries no instruction has: the parse and
+                    # the coded streams stay as they were.
+                    dictionary.add((bytes([0xF1, i >> 8, i & 0xFF]),))
+                return dictionary
+
+        codec = Padded(max_entries=512)
+        image = codec.compress(x86_program)
+        codes = image.metadata["codes"]
+        assert len(image.metadata["dictionary"]) == 300
+        table_bits = (
+            len(codes["tokens"].lengths) * (9 + 5)
+            + len(codes["modrm_sib"].lengths) * (8 + 5)
+            + len(codes["imm_disp"].lengths) * (8 + 5)
+        )
+        model_bits = image.metadata["dictionary"].storage_bits + table_bits
+        assert image.model_bytes == (model_bits + 7) // 8
+        assert codec.decompress(image) == x86_program
