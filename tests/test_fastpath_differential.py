@@ -61,6 +61,45 @@ def test_lzw_differential(data):
     assert lzw_decompress(fast) == data
 
 
+def _window_edge_data(seed: int) -> bytes:
+    """A seeded input longer than the 32 KiB window.
+
+    Three units recur at distances 32,767, 32,768 (the farthest a match
+    may reach) and 32,769 (one past it).  One 3-byte key recurs 100
+    times, more than ``MAX_CHAIN``; its oldest and newest occurrences
+    share a long continuation, which a parse keeping more than
+    ``MAX_CHAIN`` candidates would find.
+    """
+    rng = np.random.default_rng(seed)
+    data = bytearray(rng.integers(0, 256, size=33_200, dtype=np.uint8).tobytes())
+    for start, distance in ((100, 32_767), (200, 32_768), (300, 32_769)):
+        unit = rng.integers(0, 256, size=40, dtype=np.uint8).tobytes()
+        data[start : start + 40] = unit
+        data[start + distance : start + distance + 40] = unit
+    key = b"\x5a\xa5\x3c"
+    tail = rng.integers(0, 256, size=9, dtype=np.uint8).tobytes()
+    for index in range(100):
+        at = 1_000 + 12 * index
+        data[at : at + 3] = key
+        if index in (0, 99):
+            data[at + 3 : at + 12] = tail
+    assert data.count(key) > lzss.MAX_CHAIN
+    return bytes(data)
+
+
+@pytest.mark.parametrize("seed", [19, 20])
+def test_lz_window_edge_differential(seed):
+    data = _window_edge_data(seed)
+    assert len(data) > lzss.WINDOW_SIZE
+    tokens = tokenize_fast(data)
+    assert tokens == lzss._tokenize_reference(data)
+    distances = {t.distance for t in tokens if isinstance(t, lzss.Match)}
+    assert {32_767, 32_768} <= distances
+    assert max(distances) == lzss.WINDOW_SIZE
+    assert lzss.detokenize(iter(tokens)) == data
+    assert lzw_compress_fast(data) == _lzw_compress_reference(data)
+
+
 def test_lzw_dictionary_reset_differential():
     """Enough distinct digrams to overflow the 16-bit dictionary."""
     rng = np.random.default_rng(42)
