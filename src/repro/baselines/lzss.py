@@ -1,15 +1,17 @@
 """LZSS: sliding-window match finding (the LZ77 half of gzip).
 
 A hash-chain matcher over a 32 KiB window with 3..258-byte matches —
-the same search structure and limits as DEFLATE.  The token stream
-(:class:`Literal` / :class:`Match`) is consumed by
-:mod:`repro.baselines.gzipish`, which entropy-codes it.
+the same search structure and limits as DEFLATE.  The parse comes as
+two number columns (:func:`tokenize_arrays`), which
+:mod:`repro.baselines.gzipish` bins and entropy-codes, or as a
+:class:`Literal` / :class:`Match` token list (:func:`tokenize`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.fastpath import fastpath_enabled
 from repro.obs import get_recorder
@@ -41,46 +43,54 @@ Token = Union[Literal, Match]
 
 
 def tokenize(data: bytes) -> List[Token]:
-    """Greedy LZSS parse of ``data`` into literals and matches.
+    """Greedy LZSS parse of ``data`` into literals and matches:
+    :func:`tokenize_arrays` as tokens."""
+    return tokens_of(*tokenize_arrays(data))
 
-    Dispatches to the chunked-extension kernel in
-    :mod:`repro.fastpath.lz_kernel` unless ``REPRO_FASTPATH=0``; both
-    paths emit the identical token stream.
+
+def tokenize_arrays(data: bytes) -> Tuple[array, array]:
+    """Greedy LZSS parse of ``data`` as two ``array("H")`` columns.
+
+    Token ``i`` is ``Literal(values[i])`` when ``lengths[i]`` is 0, else
+    ``Match(lengths[i], values[i])``.  Dispatches to the kernel in
+    :mod:`repro.fastpath.lz_kernel` unless ``REPRO_FASTPATH=0``, where
+    the reference parse's tokens are converted; both paths give the
+    identical columns.
     """
     rec = get_recorder()
     with rec.span("lzss.tokenize"):
         if fastpath_enabled():
-            from repro.fastpath.lz_kernel import tokenize_fast
+            from repro.fastpath.lz_kernel import tokenize_arrays_fast
 
-            tokens = tokenize_fast(data)
+            lengths, values = tokenize_arrays_fast(data)
         else:
             tokens = _tokenize_reference(data)
+            lengths = array(
+                "H", [t.length if isinstance(t, Match) else 0 for t in tokens]
+            )
+            values = array(
+                "H", [t.distance if isinstance(t, Match) else t.byte for t in tokens]
+            )
     if rec.enabled:
-        literals = sum(1 for token in tokens if isinstance(token, Literal))
-        rec.count("lzss.literals", literals)
-        rec.count("lzss.matches", len(tokens) - literals)
-        for token in tokens:
-            if isinstance(token, Match):
-                rec.observe("lzss.match_length", token.length)
-    return tokens
+        matches = [length for length in lengths if length]
+        rec.count("lzss.literals", len(lengths) - len(matches))
+        rec.count("lzss.matches", len(matches))
+        for length in matches:
+            rec.observe("lzss.match_length", length)
+    return lengths, values
+
+
+def tokens_of(lengths: Sequence[int], values: Sequence[int]) -> List[Token]:
+    """The tokens of :func:`tokenize_arrays`' columns."""
+    return [
+        Match(length, value) if length else Literal(value)
+        for length, value in zip(lengths, values)
+    ]
 
 
 def tokenize_blocks(blocks) -> List[List[Token]]:
-    """Greedy-parse a batch of independent blocks.
-
-    Reference semantics are ``[tokenize(b) for b in blocks]`` — that is
-    the ``REPRO_FASTPATH=0`` path.  With the fastpath on, the batch goes
-    to :func:`repro.fastpath.lz_kernel.tokenize_blocks_fast`, which
-    precomputes every block's hash-chain keys in one vectorised pass and
-    parses repeated blocks once; the token streams are identical either
-    way.
-    """
-    blocks = [bytes(block) for block in blocks]
-    if blocks and fastpath_enabled():
-        from repro.fastpath.lz_kernel import tokenize_blocks_fast
-
-        return tokenize_blocks_fast(blocks)
-    return [tokenize(block) for block in blocks]
+    """Greedy-parse a batch of independent blocks, one by one."""
+    return [tokenize(bytes(block)) for block in blocks]
 
 
 def _tokenize_reference(data: bytes) -> List[Token]:

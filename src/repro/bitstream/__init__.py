@@ -1,4 +1,10 @@
-"""Bit-level I/O and bit-field manipulation substrate."""
+"""Bit-level I/O and bit-field manipulation substrate.
+
+Streams are MSB-first.  :class:`BitWriter` appends one field per call;
+:func:`pack_fields` lays down a whole array of ``(value, width)`` fields
+at once, with the same bytes and the same value checks, in bounded
+chunks.  gzip, LZW and SADC-MIPS compress emit through it.
+"""
 
 from repro.bitstream.fields import (
     bits_to_word,
@@ -9,7 +15,7 @@ from repro.bitstream.fields import (
     word_to_bits,
     words_to_bytes,
 )
-from repro.bitstream.io import BitReader, BitWriter
+from repro.bitstream.io import BitReader, BitWriter, pack_fields
 
 __all__ = [
     "BitReader",
@@ -18,6 +24,7 @@ __all__ = [
     "chunk_words",
     "deposit_bits",
     "extract_bits",
+    "pack_fields",
     "sign_extend",
     "word_to_bits",
     "words_to_bytes",

@@ -1,10 +1,14 @@
 """Unit and property tests for MSB-first bit I/O."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitstream.io import BitReader, BitWriter
+from repro.bitstream import io
+from repro.bitstream.io import MAX_FIELD_BITS, BitReader, BitWriter, pack_fields
 
 
 class TestBitWriter:
@@ -131,3 +135,81 @@ def test_bytes_roundtrip(data):
     writer.write_bytes(data)
     assert writer.getvalue() == data
     assert BitReader(data).read_bytes(len(data)) == data
+
+
+# ---------------------------------------------------------------------------
+# pack_fields: the array form of a run of write_bits calls
+
+field_lists = st.lists(
+    st.integers(0, MAX_FIELD_BITS).flatmap(
+        lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+    ),
+    max_size=200,
+)
+
+
+def _written(fields):
+    writer = BitWriter()
+    for value, width in fields:
+        writer.write_bits(value, width)
+    return writer.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_lists, st.sampled_from([1, 3, 64, 1 << 16]))
+def test_pack_fields_matches_bit_writer(fields, chunk):
+    # Small chunks carry partial bytes and words across chunk boundaries.
+    io._PACK_CHUNK, saved = chunk, io._PACK_CHUNK
+    try:
+        packed = pack_fields([v for v, _w in fields], [w for _v, w in fields])
+    finally:
+        io._PACK_CHUNK = saved
+    assert packed == _written(fields)
+
+
+def test_pack_fields_empty_and_array_inputs():
+    assert pack_fields([], []) == b""
+    values = np.array([5, 0, 1 << 56, 3], dtype=np.int64)
+    widths = np.array([3, 0, 57, 2], dtype=np.uint8)
+    assert pack_fields(values, widths) == _written(
+        [(5, 3), (0, 0), (1 << 56, 57), (3, 2)]
+    )
+
+
+@pytest.mark.parametrize("verify", ["1", "0"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ([(1, 4), (-1, 3)], "value -1 does not fit in 3 bits"),
+        ([(1, 4), (8, 3), (9, 3)], "value 8 does not fit in 3 bits"),
+        ([(1, 0)], "value 1 does not fit in 0 bits"),
+        ([(0, 58)], "field width 58 exceeds 57 bits"),
+        ([(0, -1)], "width must be non-negative"),
+    ],
+)
+def test_pack_fields_rejects_bad_fields(fields, message, verify, monkeypatch):
+    # A plain check: it holds whether or not tables verify themselves.
+    monkeypatch.setenv("REPRO_VERIFY", verify)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pack_fields([v for v, _w in fields], [w for _v, w in fields])
+
+
+def test_pack_fields_reports_the_first_bad_field_past_a_chunk(monkeypatch):
+    monkeypatch.setattr(io, "_PACK_CHUNK", 2)
+    with pytest.raises(ValueError, match="^value 4 does not fit in 2 bits$"):
+        pack_fields([1, 1, 1, 4, 9], [1, 1, 1, 2, 3])
+
+
+def test_pack_fields_memory_is_bounded_by_the_chunk():
+    # One array element per output bit would need about 500 MB here.
+    rng = np.random.default_rng(1)
+    widths = rng.integers(1, 33, size=1 << 20)
+    values = rng.integers(0, 1 << 62, size=1 << 20) & ((1 << widths) - 1)
+    tracemalloc.start()
+    try:
+        packed = pack_fields(values, widths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(packed) == (int(widths.sum()) + 7) // 8
+    assert peak < 64 * 2**20

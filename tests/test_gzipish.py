@@ -14,6 +14,7 @@ from repro.baselines.gzipish import (
     gzipish_decompress,
     gzipish_ratio,
 )
+from repro.entropy.huffman import HuffmanCode, build_code
 
 
 class TestBinning:
@@ -68,6 +69,21 @@ class TestRoundtrip:
 
     def test_program(self, mips_program):
         assert gzipish_decompress(gzipish_compress(mips_program)) == mips_program
+
+    def test_code_longer_than_the_table_entry_is_refused(self, monkeypatch):
+        # A 5-bit table entry holds lengths up to 31; a longer code would
+        # write a table that does not decode back to the input.
+        def with_a_32_bit_code(counts):
+            code = build_code(counts)
+            symbol = min(code.lengths)
+            return HuffmanCode({**code.lengths, symbol: 32}, code.codewords)
+
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+        monkeypatch.setattr(
+            "repro.baselines.gzipish.build_code", with_a_32_bit_code
+        )
+        with pytest.raises(ValueError, match="code length 32 exceeds"):
+            gzipish_compress(b"a man a plan a canal panama " * 10)
 
 
 @settings(max_examples=30, deadline=None)

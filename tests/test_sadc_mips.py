@@ -3,11 +3,13 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sadc.entry import DictEntry, Dictionary
+from repro.core.sadc import mips
 from repro.core.sadc.mips import (
     InstrRec,
     MipsSadcCodec,
@@ -241,6 +243,63 @@ class TestCodec:
             codec = MipsSadcCodec(block_size=block_size)
             image = codec.compress(mips_program)
             assert codec.decompress(image) == mips_program
+
+
+def _bitwise_block_payloads(codewords, lengths, block, blocks):
+    """Block packing one array element per output bit: the oracle for
+    :func:`mips._block_payloads`."""
+    if not blocks:
+        return []
+    bits = np.bincount(block, weights=lengths, minlength=blocks).astype(np.int64)
+    nbytes = (bits + 7) // 8
+    byte_end = np.cumsum(nbytes)
+    byte_start = byte_end - nbytes
+    gap = 8 * byte_start - (np.cumsum(bits) - bits)
+    end = np.cumsum(lengths)
+    bit = np.arange(end[-1])
+    shift = np.repeat(end, lengths) - 1 - bit
+    value = (np.repeat(codewords, lengths) >> shift) & 1
+    out = np.zeros(8 * int(byte_end[-1]), dtype=np.uint8)
+    out[bit + np.repeat(gap[block], lengths)] = value
+    packed = np.packbits(out)
+    return [
+        packed[lo:hi].tobytes()
+        for lo, hi in zip(byte_start.tolist(), byte_end.tolist())
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.lists(st.integers(1, 24).flatmap(
+        lambda length: st.tuples(st.integers(0, (1 << length) - 1), st.just(length))
+    ), min_size=1, max_size=40),
+    max_size=12,
+))
+def test_block_payloads_match_bitwise_packing(blocks):
+    fields = [field for codewords in blocks for field in codewords]
+    args = (
+        np.array([v for v, _l in fields], dtype=np.int64),
+        np.array([l for _v, l in fields], dtype=np.int64),
+        np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
+        len(blocks),
+    )
+    assert mips._block_payloads(*args) == _bitwise_block_payloads(*args)
+
+
+def test_block_payloads_of_figure_programs_match_bitwise_packing(monkeypatch):
+    packed = []
+
+    def both(*args):
+        packed.append((mips_block_payloads(*args), _bitwise_block_payloads(*args)))
+        return packed[-1][0]
+
+    mips_block_payloads = mips._block_payloads
+    monkeypatch.setattr(mips, "_block_payloads", both)
+    for name in BENCHMARK_NAMES:
+        MipsSadcCodec().compress(_figure_program(name))
+    assert len(packed) == len(BENCHMARK_NAMES)
+    for new, old in packed:
+        assert new == old
 
 
 class TestStaticDictionary:
