@@ -23,8 +23,6 @@ from typing import Dict
 
 import pytest
 
-from repro.fastpath import fastpath_enabled
-
 from repro.workloads.profiles import BENCHMARK_NAMES
 from repro.workloads.suite import generate_benchmark
 
@@ -106,7 +104,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "schema": 1,
-        "fastpath": fastpath_enabled(),
         "bench_scale": BENCH_SCALE,
         "results": results,
     }

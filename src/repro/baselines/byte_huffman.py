@@ -16,13 +16,13 @@ from typing import List, Sequence
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage, split_blocks
-from repro.fastpath import fastpath_enabled
 from repro.entropy.huffman import (
     HuffmanCode,
     HuffmanDecoder,
     HuffmanEncoder,
     build_code,
 )
+from repro.fastpath.huffman_kernel import compile_decode_table, decode_blocks_fast
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
 from repro.resilience.frame import block_payload
@@ -38,7 +38,7 @@ class ByteHuffmanCodec:
             raise ValueError("block size must be positive")
         self.block_size = block_size
 
-    def compress(self, code: bytes) -> CompressedImage:  # repro: noqa fastpath-parity (table-driven HuffmanEncoder already batches; no encode kernel)
+    def compress(self, code: bytes) -> CompressedImage:
         """Compress a code image block by block under one shared table."""
         rec = get_recorder()
         table = build_code(Counter(code))
@@ -81,37 +81,29 @@ class ByteHuffmanCodec:
     ) -> List[bytes]:
         """Random-access decode of a batch of cache blocks.
 
-        Reference semantics are the per-block loop (and that is the
-        ``REPRO_FASTPATH=0`` path).  With the fastpath on, the shared
-        canonical table compiles to a flat lookup table once and the
-        batch decodes in lockstep
-        (:func:`repro.fastpath.huffman_kernel.decode_blocks_fast`);
-        corrupted streams and exotic tables drop back to the reference
-        decoder so the error behaviour — which block raises, and what —
-        is exactly the loop's.  Output is byte-identical either way.
+        The semantics are the per-block loop over
+        :meth:`decompress_block`.  The shared canonical table compiles to
+        a flat lookup table once and the batch decodes in lockstep
+        (:func:`repro.fastpath.huffman_kernel.decode_blocks_fast`).
+        Tables the flat lookup cannot hold, and any batch with a
+        corrupted stream, run that per-block loop instead, so the error
+        behaviour — which block raises, and what — is exactly the
+        loop's.  Output is byte-identical either way.
         """
         indices = list(indices)
         if not indices:
             return []
-        if fastpath_enabled():
-            from repro.fastpath.huffman_kernel import (
-                compile_decode_table,
-                decode_blocks_fast,
-            )
-
-            table = compile_decode_table(image.metadata["code"])
-            if table is not None:
-                counts = [image.original_block_size(i) for i in indices]
-                with decode_guard("byte_huffman.decompress_blocks"):
-                    payloads = [
-                        block_payload(image, index) for index in indices
-                    ]
-                    decoded = decode_blocks_fast(table, payloads, counts)
-                if decoded is not None:
-                    return decoded
+        table = compile_decode_table(image.metadata["code"])
+        if table is not None:
+            counts = [image.original_block_size(i) for i in indices]
+            with decode_guard("byte_huffman.decompress_blocks"):
+                payloads = [block_payload(image, index) for index in indices]
+                decoded = decode_blocks_fast(table, payloads, counts)
+            if decoded is not None:
+                return decoded
         return [self.decompress_block(image, index) for index in indices]
 
-    def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:  # repro: noqa fastpath-parity (single-block reference path; the batch entry point dispatches)
+    def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
         """Random-access decode of one cache block."""
         table: HuffmanCode = image.metadata["code"]
         decoder = HuffmanDecoder(table)

@@ -4,16 +4,18 @@ A hash-chain matcher over a 32 KiB window with 3..258-byte matches —
 the same search structure and limits as DEFLATE.  The parse comes as
 two number columns (:func:`tokenize_arrays`), which
 :mod:`repro.baselines.gzipish` bins and entropy-codes, or as a
-:class:`Literal` / :class:`Match` token list (:func:`tokenize`).
+:class:`Literal` / :class:`Match` token list (:func:`tokenize`).  The
+matcher itself is :func:`repro.fastpath.lz_kernel.tokenize_arrays_fast`;
+the byte-string parse it is pinned to lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
-from repro.fastpath import fastpath_enabled
+from repro.fastpath.lz_kernel import tokenize_arrays_fast
 from repro.obs import get_recorder
 from repro.resilience.errors import CATEGORY_STRUCTURE, CorruptedStreamError
 
@@ -52,25 +54,11 @@ def tokenize_arrays(data: bytes) -> Tuple[array, array]:
     """Greedy LZSS parse of ``data`` as two ``array("H")`` columns.
 
     Token ``i`` is ``Literal(values[i])`` when ``lengths[i]`` is 0, else
-    ``Match(lengths[i], values[i])``.  Dispatches to the kernel in
-    :mod:`repro.fastpath.lz_kernel` unless ``REPRO_FASTPATH=0``, where
-    the reference parse's tokens are converted; both paths give the
-    identical columns.
+    ``Match(lengths[i], values[i])``.
     """
     rec = get_recorder()
     with rec.span("lzss.tokenize"):
-        if fastpath_enabled():
-            from repro.fastpath.lz_kernel import tokenize_arrays_fast
-
-            lengths, values = tokenize_arrays_fast(data)
-        else:
-            tokens = _tokenize_reference(data)
-            lengths = array(
-                "H", [t.length if isinstance(t, Match) else 0 for t in tokens]
-            )
-            values = array(
-                "H", [t.distance if isinstance(t, Match) else t.byte for t in tokens]
-            )
+        lengths, values = tokenize_arrays_fast(data)
     if rec.enabled:
         matches = [length for length in lengths if length]
         rec.count("lzss.literals", len(lengths) - len(matches))
@@ -88,63 +76,8 @@ def tokens_of(lengths: Sequence[int], values: Sequence[int]) -> List[Token]:
     ]
 
 
-def tokenize_blocks(blocks) -> List[List[Token]]:
-    """Greedy-parse a batch of independent blocks, one by one."""
-    return [tokenize(bytes(block)) for block in blocks]
-
-
-def _tokenize_reference(data: bytes) -> List[Token]:
-    """The clarity-first parse the fastpath kernel is pinned against."""
-    tokens: List[Token] = []
-    chains: Dict[bytes, List[int]] = {}
-    pos = 0
-    n = len(data)
-    while pos < n:
-        best_length = 0
-        best_distance = 0
-        if pos + MIN_MATCH <= n:
-            key = data[pos : pos + MIN_MATCH]
-            for candidate in reversed(chains.get(key, ())):
-                if pos - candidate > WINDOW_SIZE:
-                    break
-                length = _match_length(data, candidate, pos)
-                if length > best_length:
-                    best_length = length
-                    best_distance = pos - candidate
-                    if length >= MAX_MATCH:
-                        break
-        if best_length >= MIN_MATCH:
-            tokens.append(Match(best_length, best_distance))
-            end = pos + best_length
-            while pos < end:
-                if pos + MIN_MATCH <= n:
-                    _insert(chains, data[pos : pos + MIN_MATCH], pos)
-                pos += 1
-        else:
-            tokens.append(Literal(data[pos]))
-            if pos + MIN_MATCH <= n:
-                _insert(chains, data[pos : pos + MIN_MATCH], pos)
-            pos += 1
-    return tokens
-
-
-def _match_length(data: bytes, candidate: int, pos: int) -> int:
-    limit = min(MAX_MATCH, len(data) - pos)
-    length = 0
-    while length < limit and data[candidate + length] == data[pos + length]:
-        length += 1
-    return length
-
-
-def _insert(chains: Dict[bytes, List[int]], key: bytes, pos: int) -> None:
-    chain = chains.setdefault(key, [])
-    chain.append(pos)
-    if len(chain) > MAX_CHAIN:
-        del chain[0 : len(chain) - MAX_CHAIN]
-
-
 # repro: contract decode-entry
-def detokenize(tokens: Iterator[Token]) -> bytes:  # repro: noqa fastpath-parity (no decode kernel; copy loop is already linear)
+def detokenize(tokens: Iterator[Token]) -> bytes:
     """Expand a token stream back to bytes."""
     out = bytearray()
     for token in tokens:

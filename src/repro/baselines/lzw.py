@@ -8,14 +8,18 @@ start from byte 0.  That is precisely why the paper rules the Ziv-Lempel
 family out for compressed-code memories ("pointers to previous
 occurrences of strings … makes an individual block decompression scheme
 impossible"); it appears here purely as a compression-ratio yardstick.
+
+Compression runs the integer-keyed kernel
+:func:`repro.fastpath.lz_kernel.lzw_compress_fast`; the byte-string
+parse it is pinned to lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.bitstream.io import BitReader, BitWriter
-from repro.fastpath import fastpath_enabled
+from repro.bitstream.io import BitReader
+from repro.fastpath.lz_kernel import lzw_compress_fast
 from repro.obs import get_recorder
 from repro.resilience.errors import (
     CATEGORY_BUDGET,
@@ -37,20 +41,10 @@ MAX_DECLARED_OUTPUT = 1 << 28
 
 
 def lzw_compress(data: bytes) -> bytes:
-    """Compress with LZW (compress(1)-style variable-width codes).
-
-    Dispatches to the integer-keyed kernel in
-    :mod:`repro.fastpath.lz_kernel` unless ``REPRO_FASTPATH=0``; both
-    paths emit the identical code stream.
-    """
+    """Compress with LZW (compress(1)-style variable-width codes)."""
     rec = get_recorder()
     with rec.span("lzw.compress"):
-        if fastpath_enabled():
-            from repro.fastpath.lz_kernel import lzw_compress_fast
-
-            out = lzw_compress_fast(data)
-        else:
-            out = _lzw_compress_reference(data)
+        out = lzw_compress_fast(data)
     if rec.enabled:
         # The whole stream is the 32-bit length header plus code bits
         # (the final partial byte's padding is charged to the codes).
@@ -59,63 +53,8 @@ def lzw_compress(data: bytes) -> bytes:
     return out
 
 
-def lzw_compress_blocks(blocks) -> List[bytes]:
-    """Compress a batch of independent blocks.
-
-    Reference semantics are ``[lzw_compress(b) for b in blocks]`` (the
-    ``REPRO_FASTPATH=0`` path); the fastpath batch kernel compresses
-    each distinct block once and replays repeats.  Byte-identical either
-    way.
-    """
-    blocks = [bytes(block) for block in blocks]
-    if blocks and fastpath_enabled():
-        from repro.fastpath.lz_kernel import lzw_compress_blocks_fast
-
-        return lzw_compress_blocks_fast(blocks)
-    return [lzw_compress(block) for block in blocks]
-
-
-def _lzw_compress_reference(data: bytes) -> bytes:
-    """The string-keyed parse the fastpath kernel is pinned against."""
-    writer = BitWriter()
-    # 16-bit big-endian length header so decompression is self-delimiting.
-    writer.write_bits(len(data) & 0xFFFFFFFF, 32)
-    if not data:
-        return writer.getvalue()
-
-    table: Dict[bytes, int] = {bytes([i]): i for i in range(256)}
-    next_code = FIRST_CODE
-    width = MIN_BITS
-    clear_codes = 0
-    prefix = bytes([data[0]])
-    for byte in data[1:]:
-        candidate = prefix + bytes([byte])
-        if candidate in table:
-            prefix = candidate
-            continue
-        writer.write_bits(table[prefix], width)
-        if next_code < (1 << MAX_BITS):
-            table[candidate] = next_code
-            next_code += 1
-            if next_code > (1 << width) and width < MAX_BITS:
-                width += 1
-        else:
-            # Dictionary full: emit CLEAR and start over, like compress
-            # does when its ratio-check fires.
-            writer.write_bits(CLEAR_CODE, width)
-            table = {bytes([i]): i for i in range(256)}
-            next_code = FIRST_CODE
-            width = MIN_BITS
-            clear_codes += 1
-        prefix = bytes([byte])
-    writer.write_bits(table[prefix], width)
-    if clear_codes:
-        get_recorder().count("lzw.clear_codes", clear_codes)
-    return writer.getvalue()
-
-
 # repro: contract decode-entry
-def lzw_decompress(payload: bytes) -> bytes:  # repro: noqa fastpath-parity (no decode kernel; table rebuild dominates either way)
+def lzw_decompress(payload: bytes) -> bytes:
     """Inverse of :func:`lzw_compress`.
 
     Termination on arbitrary bytes: the output loop is bounded by the

@@ -10,6 +10,11 @@ Two-pass semiadaptive scheme:
    boundary, so the refill engine can decompress any block given only
    its LAT offset.
 
+Both passes, and decoding, run on the compiled kernels of
+:mod:`repro.fastpath.samc_kernel`.  The bit-at-a-time reference they
+are pinned to, the paper's walk and coder as written, lives in
+``tests/oracles.py``.
+
 The codec is ISA-independent: it only assumes fixed-width words.  MIPS
 uses 32-bit words in four 8-bit streams; x86 falls back to 8-bit "words"
 (single stream), which is why SAMC loses most of its edge on CISC — the
@@ -25,13 +30,10 @@ from repro.core.lat import CompressedImage
 from repro.core.samc.model import SamcModel
 from repro.core.samc.streams import contiguous_streams, optimize_streams
 import repro.fastpath.samc_kernel as samc_kernel
-from repro.fastpath import fastpath_enabled
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
 from repro.resilience.frame import block_payload
 from repro.entropy.arith import (
-    BinaryArithmeticDecoder,
-    BinaryArithmeticEncoder,
     quantize_power_of_two,
     quantize_probability,
     quantize_probability_8bit,
@@ -122,57 +124,6 @@ class SamcCodec:
     def _probability_bits(self) -> int:
         return PROBABILITY_BITS[self.probability_mode]
 
-    def _block_words(self, code: bytes) -> List[List[int]]:
-        """Words grouped by cache block (last block may be short)."""
-        words = chunk_words(code, self.word_bytes)
-        per_block = self.block_size // self.word_bytes
-        return [
-            words[i : i + per_block] for i in range(0, len(words), per_block)
-        ]
-
-    def _bit_labels(self, model: SamcModel) -> List[tuple]:
-        """Per-word coding order: the ``(stream, depth)`` of each bit.
-
-        The walk in :meth:`SamcModel.walk_encode` visits bits stream by
-        stream, depth by depth, so bit ``i`` of every word maps to the
-        same label — the key the bit-accounting channel attributes
-        arithmetic-coder output to.
-        """
-        return [
-            (index, depth)
-            for index, spec in enumerate(model.specs)
-            for depth in range(spec.k)
-        ]
-
-    def _encode_reference(self, model: SamcModel, code: bytes, rec) -> List[bytes]:
-        """The reference encoder: one arithmetic-coded payload per block.
-
-        With telemetry on, bits are emitted through
-        :func:`_counting_emit` and each block's flush bytes are charged
-        to ``flush``; the coded output is the same either way.
-        """
-        labels = self._bit_labels(model)
-        per_label: dict = {}
-        flush_bits = 0
-        blocks: List[bytes] = []
-        for block_words in self._block_words(code):
-            encoder = BinaryArithmeticEncoder()
-            emit = encoder.encode_bit
-            if rec.enabled:
-                emit = _counting_emit(encoder, labels, per_label)
-            model.walk_encode(block_words, emit)
-            coded = encoder.bytes_emitted
-            blocks.append(encoder.finish())
-            flush_bits += (len(blocks[-1]) - coded) * 8
-        if rec.enabled and blocks:
-            for (stream, depth), bits in sorted(per_label.items()):
-                rec.add_bits(f"stream{stream}", bits)
-                rec.count(f"samc.stream{stream}.depth{depth}.bits", bits)
-            rec.add_bits("flush", flush_bits)
-            rec.count("samc.blocks_encoded", len(blocks))
-            rec.count("samc.words_encoded", len(code) // self.word_bytes)
-        return blocks
-
     def train(self, code: bytes) -> SamcModel:
         """First pass: build and freeze the Markov model for a program."""
         streams = self.streams
@@ -186,15 +137,11 @@ class SamcCodec:
                 initial=self.streams,
             )
         model = SamcModel(self.word_bits, streams, self.connect_bits)
-        if fastpath_enabled():
-            samc_kernel.train_model_fast(
-                model,
-                chunk_words(code, self.word_bytes),
-                self.block_size // self.word_bytes,
-            )
-        else:
-            for block in self._block_words(code):
-                model.train_block(block)
+        samc_kernel.train_model_fast(
+            model,
+            chunk_words(code, self.word_bytes),
+            self.block_size // self.word_bytes,
+        )
         model.freeze(self._quantizer())
         return model
 
@@ -228,15 +175,11 @@ class SamcCodec:
                 f"{self.word_bits}"
             )
         rec = get_recorder()
-        if fastpath_enabled():
-            with rec.span("samc.encode", path="fastpath"):
-                blocks = samc_kernel.compiled_model(model).encode_blocks(
-                    chunk_words(code, self.word_bytes),
-                    self.block_size // self.word_bytes,
-                )
-        else:
-            with rec.span("samc.encode", path="reference"):
-                blocks = self._encode_reference(model, code, rec)
+        with rec.span("samc.encode"):
+            blocks = samc_kernel.compiled_model(model).encode_blocks(
+                chunk_words(code, self.word_bytes),
+                self.block_size // self.word_bytes,
+            )
         image = CompressedImage(
             algorithm="SAMC",
             original_size=len(code),
@@ -272,24 +215,20 @@ class SamcCodec:
     ) -> List[bytes]:
         """Random-access decompression of a batch of cache blocks.
 
-        The reference semantics are exactly the per-block loop —
-        ``[decompress_block(image, i) for i in indices]`` — and that is
-        what runs with the fastpath disabled.  Under ``REPRO_FASTPATH``
-        the whole batch goes to the compiled kernel's
+        The semantics are exactly the per-block loop —
+        ``[decompress_block(image, i) for i in indices]``.  The whole
+        batch goes to the compiled kernel's
         :meth:`~repro.fastpath.samc_kernel.CompiledSamcModel.decode_blocks`,
         which runs the range decoder in lockstep across the batch (or
         falls back to the fused scalar loop below its batch threshold);
-        output is byte-identical either way.  This is the refill
-        engine's miss-burst entry point and the unit the service's
-        vectorised dispatcher executes.
+        output is byte-identical either way, and equal to the reference
+        decoder's in ``tests/oracles.py``.  This is the refill engine's
+        miss-burst entry point and the unit the service's vectorised
+        dispatcher executes.
         """
         indices = list(indices)
         if not indices:
             return []
-        if not fastpath_enabled():
-            return [
-                self.decompress_block(image, index) for index in indices
-            ]
         model: SamcModel = image.metadata["model"]
         word_counts = [
             image.original_block_size(index) // self.word_bytes
@@ -320,14 +259,9 @@ class SamcCodec:
         rec = get_recorder()
         with rec.span("samc.decode_block"), \
                 decode_guard("samc.decompress_block"):
-            payload = block_payload(image, block_index)
-            if fastpath_enabled():
-                words = samc_kernel.compiled_model(model).decode_block(
-                    payload, word_count
-                )
-            else:
-                decoder = BinaryArithmeticDecoder(payload)
-                words = model.walk_decode(word_count, decoder.decode_bit)
+            words = samc_kernel.compiled_model(model).decode_block(
+                block_payload(image, block_index), word_count
+            )
         if rec.enabled:
             rec.count("samc.blocks_decoded")
             rec.count("samc.words_decoded", word_count)
@@ -339,30 +273,6 @@ class SamcCodec:
                 f"code length {len(code)} is not a multiple of the "
                 f"{self.word_bytes}-byte word size"
             )
-
-
-def _counting_emit(encoder: BinaryArithmeticEncoder, labels, per_label: dict):
-    """``encoder.encode_bit`` that also charges the renormalisation bytes
-    each coded bit forces, as bits, to its label in ``per_label``.
-
-    ``labels`` is the per-word coding order from
-    :meth:`SamcCodec._bit_labels`; bit ``i`` of a block's walk carries
-    ``labels[i % len(labels)]``.
-    """
-    encode_bit = encoder.encode_bit
-    position = 0
-
-    def emit(bit: int, p0_q: int) -> None:
-        nonlocal position
-        before = encoder.bytes_emitted
-        encode_bit(bit, p0_q)
-        emitted = encoder.bytes_emitted - before
-        if emitted:
-            label = labels[position % len(labels)]
-            per_label[label] = per_label.get(label, 0) + emitted * 8
-        position += 1
-
-    return emit
 
 
 def samc_compress(code: bytes, **kwargs) -> CompressedImage:

@@ -18,12 +18,16 @@ The model is **semiadaptive**: trained in a first pass over the subject
 program, then frozen; compressor and decompressor walk the identical
 frozen tables, and the walk (context and node pointer) resets at every
 cache-block boundary so any block can be decompressed independently.
+
+This module holds the trees' data.  The walk runs compiled, fused with
+the range coder, in :mod:`repro.fastpath.samc_kernel`; its
+bit-at-a-time form is the reference coder in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -75,19 +79,14 @@ class StreamModel:
         """Internal nodes per tree replica (stored probabilities)."""
         return self._nodes
 
-    def observe(self, context: int, node: int, bit: int) -> None:
-        """Record one training observation."""
-        if self._frozen:
-            raise RuntimeError("model is frozen; cannot train further")
-        self._counts[context, node, bit] += 1
-
     def observe_counts(self, counts: np.ndarray) -> None:
         """Bulk-accumulate a whole table of training observations.
 
-        The fastpath trainer (:mod:`repro.fastpath.samc_kernel`) computes
-        every (context, node, bit) event of a program with vectorised
-        array arithmetic and lands them here in one integer add — the
-        count table ends up identical to per-event :meth:`observe` calls.
+        The trainer (:mod:`repro.fastpath.samc_kernel`) computes every
+        (context, node, bit) event of a program with vectorised array
+        arithmetic and lands them here in one integer add — the count
+        table ends up identical to the reference trainer's per-event
+        ``observe`` calls (``tests/oracles.py``).
         """
         if self._frozen:
             raise RuntimeError("model is frozen; cannot train further")
@@ -110,12 +109,6 @@ class StreamModel:
         )
         self._p0_q = quantized[inverse].reshape(p0.shape)
         self._frozen = True
-
-    def p0_quantized(self, context: int, node: int) -> int:
-        """Frozen quantised P(next bit = 0) at (context, node)."""
-        if not self._frozen:
-            raise RuntimeError("model must be frozen before coding")
-        return int(self._p0_q[context, node])
 
     @property
     def frozen_table(self) -> np.ndarray:
@@ -189,80 +182,11 @@ class SamcModel:
         """
         return self._frozen
 
-    # -- walking -------------------------------------------------------
-
-    def _context_from_bits(self, bits: List[int]) -> int:
-        """Connection context: the trailing ``connect_bits`` bits."""
-        if self.connect_bits == 0:
-            return 0
-        context = 0
-        for bit in bits[-self.connect_bits :]:
-            context = (context << 1) | bit
-        return context
-
-    def train_block(self, words: Sequence[int]) -> None:
-        """Accumulate counts over one cache block of words.
-
-        Training replays exactly the walk the coder will perform —
-        including the context reset at the block start — so the model
-        sees the same conditional events the coder asks it about.
-        """
-        if self._frozen:
-            raise RuntimeError("model is frozen; cannot train further")
-        context = 0
-        for word in words:
-            for spec, model in zip(self.specs, self.stream_models):
-                bits: List[int] = []
-                prefix = 0
-                for depth, pos in enumerate(spec.positions):
-                    bit = (word >> (self.width - 1 - pos)) & 1
-                    model.observe(context, node_index(depth, prefix), bit)
-                    prefix = (prefix << 1) | bit
-                    bits.append(bit)
-                context = self._context_from_bits(bits)
-
     def freeze(self, quantizer: Quantizer = quantize_probability) -> None:
         """Freeze all stream models for coding."""
         for model in self.stream_models:
             model.freeze(quantizer)
         self._frozen = True
-
-    def walk_encode(self, words: Sequence[int], emit: Callable[[int, int], None]) -> None:
-        """Walk one block, calling ``emit(bit, p0_q)`` for every bit.
-
-        The decompressor performs the mirror-image walk via
-        :meth:`walk_decode`.  Context and node pointers start fresh, so
-        the block is independently decodable.
-        """
-        context = 0
-        for word in words:
-            for spec, model in zip(self.specs, self.stream_models):
-                bits: List[int] = []
-                prefix = 0
-                for depth, pos in enumerate(spec.positions):
-                    bit = (word >> (self.width - 1 - pos)) & 1
-                    emit(bit, model.p0_quantized(context, node_index(depth, prefix)))
-                    prefix = (prefix << 1) | bit
-                    bits.append(bit)
-                context = self._context_from_bits(bits)
-
-    def walk_decode(self, word_count: int, next_bit: Callable[[int], int]) -> List[int]:
-        """Decode ``word_count`` words; ``next_bit(p0_q)`` supplies bits."""
-        words: List[int] = []
-        context = 0
-        for _ in range(word_count):
-            word = 0
-            for spec, model in zip(self.specs, self.stream_models):
-                bits: List[int] = []
-                prefix = 0
-                for depth, pos in enumerate(spec.positions):
-                    bit = next_bit(model.p0_quantized(context, node_index(depth, prefix)))
-                    prefix = (prefix << 1) | bit
-                    bits.append(bit)
-                    word |= bit << (self.width - 1 - pos)
-                context = self._context_from_bits(bits)
-            words.append(word)
-        return words
 
     # -- storage accounting ---------------------------------------------
 

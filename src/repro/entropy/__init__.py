@@ -1,12 +1,8 @@
-"""Entropy-coding substrate: statistics, Huffman, binary arithmetic coding."""
+"""Entropy-coding substrate: statistics, Huffman, range-coder quantisers."""
 
 from repro.entropy.arith import (
     PROB_BITS,
     PROB_ONE,
-    BinaryArithmeticDecoder,
-    BinaryArithmeticEncoder,
-    decode_bits,
-    encode_bits,
     quantize_power_of_two,
     quantize_probability,
 )
@@ -31,8 +27,6 @@ from repro.entropy.stats import (
 __all__ = [
     "PROB_BITS",
     "PROB_ONE",
-    "BinaryArithmeticDecoder",
-    "BinaryArithmeticEncoder",
     "HuffmanCode",
     "HuffmanDecoder",
     "HuffmanEncoder",
@@ -42,8 +36,6 @@ __all__ = [
     "build_code_from_symbols",
     "canonical_codewords",
     "code_lengths",
-    "decode_bits",
-    "encode_bits",
     "entropy_bits",
     "frequencies",
     "markov_stream_entropy",

@@ -1,4 +1,4 @@
-"""Binary arithmetic (range) coding with byte renormalisation.
+"""Binary arithmetic (range) coding: probability quantisers and the flush.
 
 SAMC drives a *binary* arithmetic coder with Markov-model predictions
 (Section 3 of the paper).  The paper's hardware decoder keeps a 24-bit
@@ -9,23 +9,23 @@ propagation.  The coded stream is identical in spirit — an interval
 subdivision per bit, refreshed a byte at a time — and the coder is exact:
 decode(encode(bits)) == bits for any prediction sequence.
 
+The coder runs fused with the Markov walk in
+:mod:`repro.fastpath.samc_kernel`.  Its one-call-per-bit form, the
+executable version of the paper's pseudocode, is the reference coder in
+``tests/oracles.py``.  This module holds what the two share: the 16-bit
+probability scale, the quantisers and the block flush.
+
 Probabilities are quantised to 16 bits (``PROB_ONE == 1 << 16``).  The
 paper's shift-only hardware variant constrains the less-probable symbol's
 probability to a power of 1/2 (Witten et al. bound the efficiency loss at
 ~5%); :func:`quantize_power_of_two` implements that constraint.
 """
-
 from __future__ import annotations
 
 import math
-from typing import List
 
 PROB_BITS = 16
 PROB_ONE = 1 << PROB_BITS
-
-_TOP = 1 << 24
-_BOT = 1 << 16
-_MASK = 0xFFFFFFFF
 
 
 def quantize_probability(p0: float) -> int:
@@ -79,9 +79,10 @@ def quantize_power_of_two(p0: float) -> int:
 def flush_interval(low: int, range_: int, out: bytearray) -> None:
     """Append the shortest byte prefix of a value in ``[low, low+range)``.
 
-    Shared by :meth:`BinaryArithmeticEncoder.finish` and the fastpath
-    coder kernels (:mod:`repro.fastpath`), so both paths terminate blocks
-    with the identical byte sequence by construction.
+    The SAMC coder kernels (:mod:`repro.fastpath.samc_kernel`) end every
+    block with it, and so does the reference encoder the tests keep
+    (``tests/oracles.py``), so both terminate blocks with the identical
+    byte sequence by construction.
     """
     top = low + range_
     for nbytes in range(5):
@@ -97,131 +98,3 @@ def flush_interval(low: int, range_: int, out: bytearray) -> None:
     raise AssertionError(  # pragma: no cover - nbytes=4 always succeeds
         "flush failed to find an in-interval value"
     )
-
-
-class BinaryArithmeticEncoder:
-    """Carry-less binary range encoder.
-
-    Call :meth:`encode_bit` once per bit with the model's quantised
-    P(bit=0), then :meth:`finish` to flush; the result is a standalone
-    byte string decodable by :class:`BinaryArithmeticDecoder`.
-    """
-
-    def __init__(self) -> None:
-        self._low = 0
-        self._range = _MASK
-        self._out = bytearray()
-        self._finished = False
-
-    def encode_bit(self, bit: int, p0_q: int) -> None:
-        """Encode one bit under quantised probability ``p0_q`` of a 0."""
-        if self._finished:
-            raise RuntimeError("encoder already finished")
-        if not 1 <= p0_q <= PROB_ONE - 1:
-            raise ValueError(f"quantised probability {p0_q} out of range")
-        split = (self._range >> PROB_BITS) * p0_q
-        if bit == 0:
-            self._range = split
-        elif bit == 1:
-            self._low = (self._low + split) & _MASK
-            self._range -= split
-        else:
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        self._normalize()
-
-    def _normalize(self) -> None:
-        while True:
-            if ((self._low ^ (self._low + self._range)) & _MASK) < _TOP:
-                pass  # top byte settled: emit it
-            elif self._range < _BOT:
-                self._range = (-self._low) & (_BOT - 1)
-            else:
-                break
-            self._out.append((self._low >> 24) & 0xFF)
-            self._low = (self._low << 8) & _MASK
-            self._range = (self._range << 8) & _MASK
-
-    def finish(self) -> bytes:
-        """Flush and return the compressed bytes.
-
-        Emits the *shortest* byte prefix of a value inside the final
-        interval: the decoder zero-pads reads past the end, so trailing
-        zero bytes need not be stored.  Block-oriented compression calls
-        this per cache block, so a short flush matters for the ratio.
-        """
-        if not self._finished:
-            flush_interval(self._low, self._range, self._out)
-            self._finished = True
-        return bytes(self._out)
-
-    @property
-    def bytes_emitted(self) -> int:
-        """Bytes produced so far (pre-flush)."""
-        return len(self._out)
-
-
-class BinaryArithmeticDecoder:
-    """Decoder matching :class:`BinaryArithmeticEncoder`.
-
-    Reading past the end of the payload is legal (the flush tail and the
-    final interval allow a few phantom zero bytes), mirroring how the
-    paper's refill engine can read slightly beyond a compressed block
-    without harm.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._low = 0
-        self._range = _MASK
-        self._code = 0
-        for _ in range(4):
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK
-
-    def _next_byte(self) -> int:
-        byte = self._data[self._pos] if self._pos < len(self._data) else 0
-        self._pos += 1
-        return byte
-
-    def decode_bit(self, p0_q: int) -> int:
-        """Decode one bit under quantised probability ``p0_q`` of a 0."""
-        if not 1 <= p0_q <= PROB_ONE - 1:
-            raise ValueError(f"quantised probability {p0_q} out of range")
-        split = (self._range >> PROB_BITS) * p0_q
-        if ((self._code - self._low) & _MASK) < split:
-            bit = 0
-            self._range = split
-        else:
-            bit = 1
-            self._low = (self._low + split) & _MASK
-            self._range -= split
-        self._normalize()
-        return bit
-
-    def _normalize(self) -> None:
-        while True:
-            if ((self._low ^ (self._low + self._range)) & _MASK) < _TOP:
-                pass
-            elif self._range < _BOT:
-                self._range = (-self._low) & (_BOT - 1)
-            else:
-                break
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK
-            self._low = (self._low << 8) & _MASK
-            self._range = (self._range << 8) & _MASK
-
-
-def encode_bits(bits: List[int], probabilities: List[int]) -> bytes:
-    """Encode a bit list under per-bit quantised probabilities."""
-    if len(bits) != len(probabilities):
-        raise ValueError("bits and probabilities must have equal length")
-    encoder = BinaryArithmeticEncoder()
-    for bit, p0_q in zip(bits, probabilities):
-        encoder.encode_bit(bit, p0_q)
-    return encoder.finish()
-
-
-def decode_bits(data: bytes, probabilities: List[int]) -> List[int]:
-    """Decode ``len(probabilities)`` bits (inverse of :func:`encode_bits`)."""
-    decoder = BinaryArithmeticDecoder(data)
-    return [decoder.decode_bit(p0_q) for p0_q in probabilities]

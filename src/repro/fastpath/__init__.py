@@ -1,10 +1,10 @@
 """Hot-path codec kernels (the performance layer).
 
-The reference implementations in :mod:`repro.core` and
-:mod:`repro.baselines` are written for clarity: bit-at-a-time loops over
-Python objects, one method call per coded bit.  This package holds the
-*fast paths* — table-compiled, batch-oriented rewrites of the same
-algorithms that are **bit-identical by construction and by test**:
+Every codec runs one production path, and for SAMC, LZSS, LZW and the
+byte-Huffman batch decoder that path is a kernel in this package:
+table-compiled, batch-oriented forms of the algorithms that are
+**bit-identical by construction and by test** to the clarity-first
+reference coders kept in ``tests/oracles.py``:
 
 * :mod:`repro.fastpath.samc_kernel` — compiles a frozen
   :class:`~repro.core.samc.model.SamcModel` into flat integer tables,
@@ -12,13 +12,12 @@ algorithms that are **bit-identical by construction and by test**:
   walk with the range coder into single tight loops.
 * :mod:`repro.fastpath.lz_kernel` — memoryview/chunked match extension
   for LZSS and integer-keyed dictionary lookups for LZW.
+* :mod:`repro.fastpath.huffman_kernel` — a flat lookup table that
+  decodes a batch of byte-Huffman blocks in lockstep.
 
-Selection is dynamic: every dispatch site calls :func:`fastpath_enabled`
-so the environment variable ``REPRO_FASTPATH=0`` is an *escape hatch*
-that reinstates the reference implementations at any point, even
-mid-process (the differential tests flip it per-case).  The reference
-code is the oracle — golden-vector and hypothesis differential tests pin
-the two paths to byte equality.
+The reference coders are the oracle: golden-vector and hypothesis
+differential tests call them directly and pin the kernels to byte
+equality with them.
 
 ``FASTPATH_VERSION`` tags the pipeline's codec-config fingerprints
 (:mod:`repro.pipeline.fingerprint`): bump it if a kernel change could
@@ -28,8 +27,6 @@ orphaned rather than served.
 
 from __future__ import annotations
 
-import os
-
 #: Version of the fastpath kernels, folded into pipeline fingerprints.
 #: The kernels are bit-identical to the reference today, so this only
 #: needs bumping if that ever stops being true — but the tag means a
@@ -37,13 +34,4 @@ import os
 FASTPATH_VERSION = 1
 
 
-def fastpath_enabled() -> bool:
-    """True unless the ``REPRO_FASTPATH=0`` escape hatch is set.
-
-    Read from the environment on every call (it is one dict lookup) so
-    tests and CI can flip paths without re-importing anything.
-    """
-    return os.environ.get("REPRO_FASTPATH", "1") != "0"
-
-
-__all__ = ["FASTPATH_VERSION", "fastpath_enabled"]
+__all__ = ["FASTPATH_VERSION"]

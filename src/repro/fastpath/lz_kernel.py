@@ -1,9 +1,10 @@
 """Fast LZ kernels: one numpy-keyed LZSS matcher, integer-keyed LZW.
 
-Token-for-token and byte-for-byte identical to the reference
-implementations in :mod:`repro.baselines.lzss` / :mod:`repro.baselines.lzw`
-(differential tests pin this); the speed comes from structural changes,
-not algorithmic ones:
+These are the only LZSS and LZW compressors :mod:`repro.baselines.lzss`
+and :mod:`repro.baselines.lzw` run.  They are token-for-token and
+byte-for-byte identical to the byte-string reference parses kept in
+``tests/oracles.py`` (differential tests pin this); the speed comes from
+structural changes, not algorithmic ones:
 
 * every 3-byte hash-chain key is computed in one numpy pass over the
   input, and the matcher indexes that array instead of combining three
@@ -21,9 +22,9 @@ not algorithmic ones:
   widths are collected, then packed once by
   :func:`repro.bitstream.pack_fields`.
 
-There is no batch matcher: a batch is parsed block by block.  Only the
-keys are independent of the data; which positions the parse visits, and
-how far each match extends, is not.
+There is no batch matcher, and no batch entry point: only the keys are
+independent of the data; which positions the parse visits, and how far
+each match extends, is not.
 """
 
 from __future__ import annotations
@@ -130,26 +131,6 @@ def tokenize_arrays_fast(data: bytes) -> Tuple[array, array]:
                         del chain[0 : len(chain) - MAX_CHAIN]
             pos += 1
     return lengths, values
-
-
-def lzw_compress_blocks_fast(blocks) -> List[bytes]:
-    """Batch LZW over independent blocks.
-
-    LZW's dictionary evolves sequentially within a stream, so the batch
-    win is structural: identical blocks compress once (the parse is a
-    pure function of the input), distinct ones run the integer-keyed
-    kernel back to back.  Byte-identical to per-block calls.
-    """
-    out: List[bytes] = []
-    seen: dict = {}
-    for block in blocks:
-        data = bytes(block)
-        payload = seen.get(data)
-        if payload is None:
-            payload = lzw_compress_fast(data)
-            seen[data] = payload
-        out.append(payload)
-    return out
 
 
 def lzw_compress_fast(data: bytes) -> bytes:

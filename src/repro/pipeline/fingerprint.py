@@ -55,9 +55,7 @@ def canonical_config(
     config: Dict[str, Any] = {
         "schema": CODEC_SCHEMA_VERSION,
         # The coder-kernel generation that produced (or would produce)
-        # the result.  The fastpath kernels are bit-identical to the
-        # reference today, so results are shared across REPRO_FASTPATH
-        # settings — but if a kernel revision ever changed coded output,
+        # the result.  If a kernel revision ever changed coded output,
         # bumping FASTPATH_VERSION orphans every pre-revision cache
         # entry instead of serving stale payload sizes.
         "fastpath_version": FASTPATH_VERSION,

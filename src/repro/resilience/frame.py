@@ -43,7 +43,7 @@ FRAME_HEADER_BYTES = _HEADER.size
 #: Total container cost per framed object: header + CRC-32.
 FRAME_OVERHEAD = FRAME_HEADER_BYTES + 4
 
-#: Environment switch for default-on framing (mirrors REPRO_FASTPATH).
+#: Environment switch for default-on framing.
 FRAMED_ENV = "REPRO_FRAMED"
 
 

@@ -66,11 +66,7 @@ def build_codecs(registry: WarmModelRegistry) -> Dict[str, ServiceCodec]:
     """The full wire-name → adapter map served by the daemon."""
     from repro.baselines.byte_huffman import ByteHuffmanCodec
     from repro.baselines.gzipish import gzipish_compress, gzipish_decompress
-    from repro.baselines.lzw import (
-        lzw_compress,
-        lzw_compress_blocks,
-        lzw_decompress,
-    )
+    from repro.baselines.lzw import lzw_compress, lzw_decompress
     from repro.core import decompress_image
     from repro.core.sadc import MipsSadcCodec, X86SadcCodec
     from repro.core.samc import SamcCodec
@@ -96,14 +92,14 @@ def build_codecs(registry: WarmModelRegistry) -> Dict[str, ServiceCodec]:
     samc_mips = SamcCodec.for_mips()
     samc_bytes = SamcCodec.for_bytes()
 
-    def batched(name, compress, decompress, compress_batch=None):
+    def batched(name, compress, decompress):
         # Archive decompression already runs the codec's own batch
         # entry point over all blocks of an image (the vectorised
-        # kernel); across requests the win is dedup — one decode per
-        # distinct archive in the group.
+        # kernel); across requests the win is dedup — one codec call
+        # per distinct payload in the group.
         return ServiceCodec(
             name, compress, decompress,
-            compress_batch=compress_batch or _dedup_batch(compress),
+            compress_batch=_dedup_batch(compress),
             decompress_batch=_dedup_batch(decompress),
         )
 
@@ -118,8 +114,7 @@ def build_codecs(registry: WarmModelRegistry) -> Dict[str, ServiceCodec]:
                 archive_decompress),
         batched("byte-huffman", image_compress(ByteHuffmanCodec()),
                 archive_decompress),
-        batched("lzw", lzw_compress, lzw_decompress,
-                compress_batch=lzw_compress_blocks),
+        batched("lzw", lzw_compress, lzw_decompress),
         batched("gzipish", gzipish_compress, gzipish_decompress),
     ]
     return {codec.name: codec for codec in codecs}

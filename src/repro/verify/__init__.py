@@ -16,8 +16,8 @@ invariants; this package checks them statically, in two layers:
   :mod:`repro.verify.rules`): AST rules encoding repo-specific
   contracts — no float arithmetic in bit-exact coder hot paths, no
   unordered-container iteration in fingerprint/serialise paths, no
-  unseeded randomness in workload generators, and reference↔fastpath
-  dispatch parity.
+  unseeded randomness in workload generators, no wall-clock reads in
+  codec code, and no bare ``assert`` in decoders.
 
 Everything surfaces as :class:`Finding` records so ``python -m repro
 check`` can render them as text or JSON and gate CI with ``--strict``.

@@ -11,7 +11,8 @@ Two rule shapes exist:
 * :class:`FileRule` — scoped to a set of package-relative path
   prefixes; receives one parsed module at a time.
 * :class:`ProjectRule` — receives every parsed module at once, for
-  cross-module contracts (the reference↔fastpath parity rule).
+  cross-module contracts (the whole-program analyses of
+  :mod:`repro.verify.contracts`).
 
 Suppression: a finding whose source line carries ``# repro: noqa``
 (all rules) or ``# repro: noqa <rule-id> ...`` (listed rules) is

@@ -18,13 +18,6 @@ Each rule encodes a correctness contract of this codebase:
     Workload generators must draw from an explicit ``random.Random(seed)``
     (or seeded numpy generator) so benchmarks are reproducible.
 
-``fastpath-parity``
-    A module that imports :mod:`repro.fastpath` has opted into the
-    reference/kernel dual-path contract: every public compress/decompress
-    style entry point must dispatch through ``fastpath_enabled()``
-    (directly or via a helper it calls), so ``REPRO_FASTPATH=0`` always
-    reaches the reference oracle.
-
 ``no-wallclock-in-codec``
     Wall-clock reads belong to the observability layer.  Outside
     ``obs/``, code must go through :mod:`repro.obs.clock` (or a span)
@@ -44,10 +37,10 @@ Each rule encodes a correctness contract of this codebase:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.verify import SEVERITY_ERROR, Finding
-from repro.verify.lint import FileRule, ParsedModule, ProjectRule
+from repro.verify.lint import FileRule, ParsedModule
 
 
 def _function_stack(tree: ast.Module) -> Dict[ast.AST, Tuple[str, ...]]:
@@ -207,89 +200,6 @@ class UnseededRandom(FileRule):
         )
 
 
-class FastpathParity(ProjectRule):
-    """Public codec entry points must dispatch through fastpath_enabled()."""
-
-    rule_id = "fastpath-parity"
-    severity = SEVERITY_ERROR
-    description = (
-        "public codec entry point in a fastpath-aware module never "
-        "consults fastpath_enabled()"
-    )
-
-    _SCOPES = ("core/samc/", "baselines/")
-    _VERBS = ("compress", "decompress", "encode", "decode", "tokenize", "train")
-
-    def check_project(self, modules: List[ParsedModule]) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in modules:
-            if not module.relpath.startswith(self._SCOPES):
-                continue
-            if not self._imports_fastpath(module.tree):
-                continue
-            findings.extend(self._check_module(module))
-        return findings
-
-    @staticmethod
-    def _imports_fastpath(tree: ast.Module) -> bool:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module is not None and node.module.startswith(
-                    "repro.fastpath"
-                ):
-                    return True
-            elif isinstance(node, ast.Import):
-                if any(a.name.startswith("repro.fastpath") for a in node.names):
-                    return True
-        return False
-
-    def _check_module(self, module: ParsedModule) -> List[Finding]:
-        # Every function/method in the module, by bare name, with the set
-        # of names it calls (both foo() and obj.foo() count as "foo").
-        defs: Dict[str, ast.AST] = {}
-        calls: Dict[str, Set[str]] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(node.name, node)
-                calls.setdefault(node.name, set()).update(_called_names(node))
-
-        def reaches_dispatch(name: str) -> bool:
-            frontier = [name]
-            visited: Set[str] = set()
-            while frontier:
-                current = frontier.pop()
-                if current in visited:
-                    continue
-                visited.add(current)
-                called = calls.get(current, set())
-                if "fastpath_enabled" in called:
-                    return True
-                frontier.extend(c for c in called if c in defs)
-            return False
-
-        findings: List[Finding] = []
-        for name in sorted(defs):
-            if name.startswith("_"):
-                continue
-            if not any(verb in name for verb in self._VERBS):
-                continue
-            if reaches_dispatch(name):
-                continue
-            node = defs[name]
-            findings.append(Finding(
-                rule=self.rule_id,
-                severity=self.severity,
-                file=module.display,
-                line=getattr(node, "lineno", 1),
-                message=(
-                    f"{name}() lives in a fastpath-aware module but never "
-                    "reaches fastpath_enabled(); add the dispatch or a "
-                    "`# repro: noqa fastpath-parity` with justification"
-                ),
-            ))
-        return findings
-
-
 class NoWallclockInCodec(FileRule):
     """Flag direct wall-clock reads outside the obs layer."""
 
@@ -417,19 +327,6 @@ class NoAssertInDecoder(FileRule):
         return findings
 
 
-def _called_names(func: ast.AST) -> Set[str]:
-    """Bare names of everything ``func`` calls (Name or Attribute form)."""
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            target = node.func
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                names.add(target.attr)
-    return names
-
-
 def default_rules(include_flow: bool = True) -> List[object]:
     """The rule set ``python -m repro check`` runs.
 
@@ -443,7 +340,6 @@ def default_rules(include_flow: bool = True) -> List[object]:
         NoFloatHotpath(),
         UnorderedIteration(),
         UnseededRandom(),
-        FastpathParity(),
         NoWallclockInCodec(),
         NoAssertInDecoder(),
     ]

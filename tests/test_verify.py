@@ -300,46 +300,6 @@ class TestLintRules:
         assert [f.rule for f in _lint(root)] == ["unseeded-random"]
 
 
-class TestFastpathParityRule:
-    def test_missing_dispatch_flagged(self, tmp_path):
-        root = _write_tree(tmp_path, {
-            "baselines/codec.py": """
-                from repro.fastpath import fastpath_enabled
-
-                def compress(data):
-                    return data
-            """,
-        })
-        findings = _lint(root)
-        assert [f.rule for f in findings] == ["fastpath-parity"]
-        assert "compress" in findings[0].message
-
-    def test_indirect_dispatch_satisfies(self, tmp_path):
-        root = _write_tree(tmp_path, {
-            "baselines/codec.py": """
-                from repro.fastpath import fastpath_enabled
-
-                def _encode_impl(data):
-                    if fastpath_enabled():
-                        return data
-                    return bytes(data)
-
-                def compress(data):
-                    return _encode_impl(data)
-            """,
-        })
-        assert _lint(root) == []
-
-    def test_module_without_fastpath_import_ignored(self, tmp_path):
-        root = _write_tree(tmp_path, {
-            "baselines/plain.py": """
-                def compress(data):
-                    return data
-            """,
-        })
-        assert _lint(root) == []
-
-
 class TestNoWallclockRule:
     def test_direct_call_flagged(self, tmp_path):
         root = _write_tree(tmp_path, {
