@@ -22,8 +22,8 @@ annotations — a comment on (or directly above) a ``def``::
   (``os.environ``, wall clock, unordered iteration, unseeded RNG)
   anywhere in the sink's precisely-resolved call closure.
 * The **dual-path** analysis needs no annotation: it pairs every
-  ``*_blocks`` batch entry point (and every fastpath ``*_fast`` kernel)
-  with its scalar oracle by naming convention and diffs their surfaces.
+  ``*_blocks`` batch entry point with its scalar oracle by naming
+  convention and diffs their surfaces.
 
 Soundness/precision tradeoffs, in one place:
 
@@ -89,7 +89,7 @@ LOOP_SCOPES = (
     "isa/",
 )
 
-#: Module prefixes scanned for batch/fastpath dual-path surfaces.
+#: Module prefixes scanned for batch dual-path surfaces.
 DUAL_PATH_SCOPES = ("core/", "baselines/", "fastpath/", "service/")
 
 #: The blessed clock module: wall-clock reads inside it are the point.
@@ -420,21 +420,17 @@ class DeterminismTaintRule(ProjectRule):
 
 
 class DualPathRule(ProjectRule):
-    """Batch and fastpath entry points must not drift from their oracles.
+    """Batch entry points must not drift from their scalar oracles.
 
     Pairing is by naming convention: ``X_blocks`` pairs with ``X_block``
-    (or ``X``) in the same class, else the same module; a fastpath
-    ``X_fast`` must have a reference ``X`` somewhere in the project.
-    The diff covers existence, parameter names (all but the final,
-    pluralised one), and locally-raised exception surfaces with guard
-    conversion applied.
+    (or ``X``) in the same class, else the same module.  The diff covers
+    existence, parameter names (all but the final, pluralised one), and
+    locally-raised exception surfaces with guard conversion applied.
     """
 
     rule_id = "dual-path-drift"
     severity = SEVERITY_ERROR
-    description = (
-        "batch/fastpath entry points must match their scalar oracles"
-    )
+    description = "batch entry points must match their scalar oracles"
 
     def check_project(self, modules: Sequence[ParsedModule]) -> List[Finding]:
         model = project_model(modules)
@@ -448,23 +444,6 @@ class DualPathRule(ProjectRule):
                 "_"
             ):
                 findings.extend(self._check_batch(model, info))
-            elif (
-                info.name.endswith("_fast")
-                and info.relpath.startswith("fastpath/")
-                and not info.name.startswith("_")
-            ):
-                base = info.name[: -len("_fast")]
-                if base not in graph.by_name:
-                    findings.append(Finding(
-                        rule=self.rule_id,
-                        severity=self.severity,
-                        file=info.display,
-                        line=info.lineno,
-                        message=(
-                            f"fastpath kernel {info.name} has no "
-                            f"reference implementation named {base!r}"
-                        ),
-                    ))
         return findings
 
     def _check_batch(
