@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 
 def extract_bits(word: int, positions: Sequence[int], width: int) -> int:
     """Gather the bits of ``word`` at MSB-first ``positions`` into an int.
@@ -79,20 +81,42 @@ def sign_extend(value: int, width: int) -> int:
     return value
 
 
+def _check_whole_words(data: bytes, word_bytes: int) -> None:
+    if len(data) % word_bytes != 0:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of word size {word_bytes}"
+        )
+
+
 def chunk_words(data: bytes, word_bytes: int) -> List[int]:
     """Split ``data`` into big-endian fixed-width words.
 
     Raises :class:`ValueError` when the data is not a whole number of words
     — a compressed-code image must cover complete instructions.
     """
-    if len(data) % word_bytes != 0:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of word size {word_bytes}"
-        )
+    _check_whole_words(data, word_bytes)
     return [
         int.from_bytes(data[i : i + word_bytes], "big")
         for i in range(0, len(data), word_bytes)
     ]
+
+
+def word_array(data: bytes, word_bytes: int) -> np.ndarray:
+    """:func:`chunk_words` as one int64 array, for words of 1 to 8 bytes.
+
+    Each word is right-aligned in an 8-byte big-endian lane, so one view
+    serves every whole-byte width.  An 8-byte word keeps its bit pattern
+    as a two's-complement int64, which shifts and masks read bit for bit.
+    Raises the same :class:`ValueError` as :func:`chunk_words`.
+    """
+    _check_whole_words(data, word_bytes)
+    if not 1 <= word_bytes <= 8:
+        raise ValueError(f"a {word_bytes}-byte word does not fit an int64")
+    lanes = np.zeros((len(data) // word_bytes, 8), dtype=np.uint8)
+    lanes[:, 8 - word_bytes :] = np.frombuffer(data, dtype=np.uint8).reshape(
+        -1, word_bytes
+    )
+    return lanes.view(">u8").ravel().astype(np.int64)
 
 
 def words_to_bytes(words: Iterable[int], word_bytes: int) -> bytes:

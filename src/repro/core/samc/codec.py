@@ -4,14 +4,15 @@ Two-pass semiadaptive scheme:
 
 1. **Statistics gathering** — walk the whole program, building the
    per-stream Markov trees (:class:`repro.core.samc.model.SamcModel`).
-2. **Compression** — walk the program again, feeding each bit and its
-   model prediction to the binary arithmetic coder.  The coder state,
+2. **Compression** — feed each bit of the same walk and its model
+   prediction to the binary arithmetic coder.  The coder state,
    Markov context, and tree pointers all reset at every cache-block
    boundary, so the refill engine can decompress any block given only
    its LAT offset.
 
 Both passes, and decoding, run on the compiled kernels of
-:mod:`repro.fastpath.samc_kernel`.  The bit-at-a-time reference they
+:mod:`repro.fastpath.samc_kernel`; :meth:`SamcCodec.compress` computes
+the walk once and hands it to both.  The bit-at-a-time reference they
 are pinned to, the paper's walk and coder as written, lives in
 ``tests/oracles.py``.
 
@@ -23,9 +24,11 @@ paper observes exactly this in Section 5.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.bitstream.fields import chunk_words, words_to_bytes
+import numpy as np
+
+from repro.bitstream.fields import word_array, words_to_bytes
 from repro.core.lat import CompressedImage
 from repro.core.samc.model import SamcModel
 from repro.core.samc.streams import contiguous_streams, optimize_streams
@@ -126,32 +129,41 @@ class SamcCodec:
 
     def train(self, code: bytes) -> SamcModel:
         """First pass: build and freeze the Markov model for a program."""
+        return self._train(word_array(code, self.word_bytes))[0]
+
+    def _train(
+        self, words: np.ndarray
+    ) -> Tuple[SamcModel, samc_kernel.SamcWalk]:
+        """Train and freeze a model; return it with the walk it counted."""
         streams = self.streams
         if self.optimize:
-            words = chunk_words(code, self.word_bytes)
             streams, _entropy = optimize_streams(
-                words,
+                words.tolist(),
                 self.word_bits,
                 n_streams=len(self.streams),
                 iterations=self.optimize_iterations,
                 initial=self.streams,
             )
         model = SamcModel(self.word_bits, streams, self.connect_bits)
-        samc_kernel.train_model_fast(
-            model,
-            chunk_words(code, self.word_bytes),
-            self.block_size // self.word_bytes,
+        walk = samc_kernel.walk_program(
+            model, words, self.block_size // self.word_bytes
         )
+        samc_kernel.train_model_fast(model, walk)
         model.freeze(self._quantizer())
-        return model
+        return model, walk
 
     def compress(self, code: bytes) -> CompressedImage:
-        """Compress a code image into independently decodable blocks."""
+        """Compress a code image into independently decodable blocks.
+
+        Exactly ``compress_with_model(code, train(code))``, but the
+        Markov walk that training counts is the one the encode pass
+        codes, so it is computed once, inside the ``samc.train`` span.
+        """
         self._check_word_aligned(code)
         rec = get_recorder()
         with rec.span("samc.train", word_bits=self.word_bits):
-            model = self.train(code)
-        return self.compress_with_model(code, model)
+            model, walk = self._train(word_array(code, self.word_bytes))
+        return self._encode(code, model, walk)
 
     def compress_with_model(
         self, code: bytes, model: SamcModel
@@ -174,12 +186,24 @@ class SamcCodec:
                 f"model is for {model.width}-bit words, codec expects "
                 f"{self.word_bits}"
             )
+        return self._encode(code, model, None)
+
+    def _encode(
+        self,
+        code: bytes,
+        model: SamcModel,
+        walk: Optional[samc_kernel.SamcWalk],
+    ) -> CompressedImage:
+        """Second pass: code ``walk`` (walked here when ``None``)."""
         rec = get_recorder()
         with rec.span("samc.encode"):
-            blocks = samc_kernel.compiled_model(model).encode_blocks(
-                chunk_words(code, self.word_bytes),
-                self.block_size // self.word_bytes,
-            )
+            if walk is None:
+                walk = samc_kernel.walk_program(
+                    model,
+                    word_array(code, self.word_bytes),
+                    self.block_size // self.word_bytes,
+                )
+            blocks = samc_kernel.compiled_model(model).encode_blocks(walk)
         image = CompressedImage(
             algorithm="SAMC",
             original_size=len(code),

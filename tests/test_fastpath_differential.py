@@ -26,7 +26,10 @@ from repro.core.samc.model import SamcModel
 from repro.fastpath.lz_kernel import lzw_compress_fast, tokenize_fast
 from repro.fastpath.samc_kernel import (
     CompiledSamcModel,
+    _encode_span,
+    _encode_span_obs,
     train_model_fast,
+    walk_program,
 )
 from repro.obs import obs_session
 from repro.resilience.errors import CorruptedStreamError
@@ -125,6 +128,33 @@ def test_lzss_key_recurring_past_the_window_differential():
     tokens = tokenize_fast(data)
     assert tokens == _tokenize_reference(data)
     assert lzss.Match(12, 200) in tokens
+
+
+def test_lzss_chain_truncated_after_literals_differential():
+    """A key coded as a literal more than ``MAX_CHAIN`` times: each
+    occurrence lies more than a window after the one before, so it
+    finds no candidate and joins its chain from the literal branch,
+    which must trim the chain to ``MAX_CHAIN`` as the match branch
+    does.  The filler between occurrences is a repeated seeded unit of
+    bytes the key does not use, so it parses as long matches."""
+    rng = np.random.default_rng(23)
+    key = b"\x01\x02\x03"
+    unit = rng.integers(16, 256, size=4096, dtype=np.uint8).tobytes()
+    gap = lzss.WINDOW_SIZE + 64
+    filler = (unit * (gap // len(unit) + 1))[: gap - len(key)]
+    count = lzss.MAX_CHAIN + 3
+    data = (key + filler) * (count - 1) + key
+    tokens = tokenize_fast(data)
+    assert tokens == _tokenize_reference(data)
+    literal_keys = 0
+    pos = 0
+    for token in tokens:
+        if isinstance(token, lzss.Literal):
+            literal_keys += data[pos : pos + 3] == key
+            pos += 1
+        else:
+            pos += token.length
+    assert literal_keys == count > lzss.MAX_CHAIN
 
 
 def test_lzw_dictionary_reset_differential():
@@ -260,7 +290,8 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block, mode):
     for block in blocks:
         train_block(reference, block)
     fast = SamcModel(32, streams, connect_bits)
-    train_model_fast(fast, words, words_per_block)
+    walk = walk_program(fast, words, words_per_block)
+    train_model_fast(fast, walk)
     for ref_stream, fast_stream in zip(reference.stream_models, fast.stream_models):
         assert (ref_stream._counts == fast_stream._counts).all()
 
@@ -273,7 +304,7 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block, mode):
         encoder = BinaryArithmeticEncoder()
         walk_encode(reference, block, encoder.encode_bit)
         expected_payloads.append(encoder.finish())
-    assert compiled.encode_blocks(words, words_per_block) == expected_payloads
+    assert compiled.encode_blocks(walk) == expected_payloads
 
     for block, payload in zip(blocks, expected_payloads):
         decoder = BinaryArithmeticDecoder(payload)
@@ -398,6 +429,80 @@ def test_renormalisation_never_needed_while_range_is_wide():
             low = (low << 8) & mask
             rng = (rng << 8) & mask
     assert wide > 100_000 and underflows > 100 and at_ceiling > 100
+
+
+#: Signed spans (``p0`` codes a 0-bit, ``-p0`` a 1-bit) that bring the
+#: range coder to a renormalisation boundary, found by a seeded search
+#: over the reference coder's states: ``rng == 2**16`` with unsettled
+#: top bytes and ``low`` off a multiple of ``2**16`` (so an encoder that
+#: wrongly takes the underflow branch there emits a byte instead of
+#: looping on a zero range), and ``rng == 2**24``, each reached by a
+#: 0-bit, by a 1-bit and by a shift.
+BOUNDARY_SPANS = {
+    "rng16-bit0": [-32768, 2],
+    "rng16-bit1": [-65280, 257, -256],
+    "rng16-shift": [-2, 257, 1],
+    "rng24-bit0": [-32768, 512],
+    "rng24-bit1": [-65280, 2, -32768],
+    "rng24-shift": [257, 1],
+}
+#: Coded after every boundary span, so the state reached there flows
+#: through more bits, renormalisations and the flush.
+BOUNDARY_TAIL = [40000, -20000, 3, -65535, 32768, -1, 65535, -12345]
+
+
+def _renormalisation_checks(signed):
+    """``(rng, unsettled, low)`` at every test of the reference
+    renormalisation loop while coding ``signed``."""
+    mask, top, bot = 0xFFFFFFFF, 1 << 24, 1 << 16
+    low, rng = 0, mask
+    checks = []
+    for q in signed:
+        split = (rng >> 16) * abs(q)
+        if q > 0:
+            rng = split
+        else:
+            low += split
+            rng -= split
+        while True:
+            unsettled = ((low ^ (low + rng)) & mask) >= top
+            checks.append((rng, unsettled, low))
+            if unsettled:
+                if rng >= bot:
+                    break
+                rng = (-low) & (bot - 1)
+            low = (low << 8) & mask
+            rng = (rng << 8) & mask
+    return checks
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SPANS))
+def test_scalar_encoders_match_reference_at_renormalisation_boundaries(name):
+    """At ``rng == 2**16`` with unsettled top bytes the loop stops
+    (``rng >= bot``) instead of taking the underflow branch, and at
+    ``rng == 2**24`` it does not shift.  There the plain and telemetry
+    scalar encoders emit the reference encoder's bytes, and the
+    telemetry one charges every byte to a bit or to the flush."""
+    boundary = BOUNDARY_SPANS[name]
+    checks = _renormalisation_checks(boundary)
+    if name.startswith("rng16"):
+        assert any(
+            rng == 1 << 16 and unsettled and low % (1 << 16)
+            for rng, unsettled, low in checks
+        )
+    else:
+        assert any(rng == 1 << 24 for rng, _, _ in checks)
+    span = boundary + BOUNDARY_TAIL
+    encoder = BinaryArithmeticEncoder()
+    for q in span:
+        encoder.encode_bit(int(q < 0), abs(q))
+    expected = encoder.finish()
+    assert _encode_span(span) == expected
+    per_label: dict = {}
+    labels = [(0, depth) for depth in range(len(span))]
+    payload, flush_bits = _encode_span_obs(span, labels, per_label)
+    assert payload == expected
+    assert sum(per_label.values()) + flush_bits == 8 * len(expected)
 
 
 @settings(max_examples=20, deadline=None)
