@@ -1,5 +1,6 @@
 """Unit and property tests for bit-field gather/scatter helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.bitstream.fields import (
     deposit_bits,
     extract_bits,
     sign_extend,
+    word_array,
     word_to_bits,
     words_to_bytes,
 )
@@ -94,3 +96,33 @@ class TestChunkWords:
 @given(st.binary(max_size=64).filter(lambda b: len(b) % 4 == 0))
 def test_chunk_words_roundtrip_property(data):
     assert words_to_bytes(chunk_words(data, 4), 4) == data
+
+
+class TestWordArray:
+    @pytest.mark.parametrize("word_bytes", range(1, 9))
+    def test_equals_chunk_words_as_int64(self, word_bytes):
+        # Every word's top byte is 0x80 or above, so an 8-byte word has
+        # bit 63 set and must come back as its two's-complement int64.
+        data = bytes(
+            0x80 | (i * 37 % 128) if i % word_bytes == 0 else i * 91 % 256
+            for i in range(24 * word_bytes)
+        )
+        words = word_array(data, word_bytes)
+        assert words.dtype == np.int64
+        expected = np.array(chunk_words(data, word_bytes), dtype=np.uint64)
+        assert np.array_equal(words, expected.view(np.int64))
+
+    def test_misaligned_rejected_like_chunk_words(self):
+        with pytest.raises(ValueError) as chunked:
+            chunk_words(b"\x00" * 5, 4)
+        with pytest.raises(ValueError) as arrayed:
+            word_array(b"\x00" * 5, 4)
+        assert str(arrayed.value) == str(chunked.value)
+
+    def test_nine_byte_words_rejected(self):
+        with pytest.raises(ValueError, match="does not fit an int64"):
+            word_array(b"\x00" * 18, 9)
+
+    def test_empty(self):
+        words = word_array(b"", 4)
+        assert words.dtype == np.int64 and words.size == 0
