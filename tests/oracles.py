@@ -19,6 +19,9 @@ call these functions directly and compare with production.
   strings.
 * **LZW** -- :func:`_lzw_compress_reference`, a dictionary of byte
   strings written through ``BitWriter``.
+* **I-cache** -- :class:`InstructionCache`, the set-associative LRU
+  model as first written: a dict of sets, and a tag search on every
+  access.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.bitstream.io import BitWriter
 from repro.core.samc.model import SamcModel, StreamModel, node_index
 from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_interval
+from repro.memory.cache import CacheStats
 from repro.obs import get_recorder
 from repro.resilience.frame import block_payload
 
@@ -484,3 +488,65 @@ def _lzw_compress_reference(data: bytes) -> bytes:
     if clear_codes:
         get_recorder().count("lzw.clear_codes", clear_codes)
     return writer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# I-cache
+
+
+class InstructionCache:
+    """The set-associative LRU cache model ``repro.memory.cache`` is
+    pinned to: every access locates its set and searches its tags."""
+
+    def __init__(
+        self,
+        size_bytes: int = 4096,
+        block_size: int = 32,
+        associativity: int = 2,
+    ) -> None:
+        if size_bytes % (block_size * associativity) != 0:
+            raise ValueError(
+                "cache size must be a multiple of block_size * associativity"
+            )
+        self.block_size = block_size
+        self.associativity = associativity
+        self.n_sets = size_bytes // (block_size * associativity)
+        #: set index -> list of tags, most recently used last.
+        self._sets: Dict[int, List[int]] = {}
+        self.stats = CacheStats()
+
+    def _locate(self, address: int) -> tuple:
+        block = address // self.block_size
+        return block % self.n_sets, block // self.n_sets
+
+    def access(self, address: int) -> bool:
+        """Touch ``address``; returns True on hit, False on miss (fills)."""
+        set_index, tag = self._locate(address)
+        ways = self._sets.setdefault(set_index, [])
+        self.stats.accesses += 1
+        if tag in ways:
+            ways.remove(tag)
+            ways.append(tag)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        ways.append(tag)
+        if len(ways) > self.associativity:
+            ways.pop(0)
+        return False
+
+    def contains(self, address: int) -> bool:
+        """Non-mutating lookup (no stats, no LRU update)."""
+        set_index, tag = self._locate(address)
+        return tag in self._sets.get(set_index, [])
+
+    def invalidate(self, address: int) -> None:
+        """Drop the line holding ``address``, if any (stats are kept)."""
+        set_index, tag = self._locate(address)
+        ways = self._sets.get(set_index, [])
+        if tag in ways:
+            ways.remove(tag)
+
+    def flush(self) -> None:
+        """Invalidate all lines (stats are kept)."""
+        self._sets.clear()

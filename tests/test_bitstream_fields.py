@@ -98,6 +98,40 @@ def test_chunk_words_roundtrip_property(data):
     assert words_to_bytes(chunk_words(data, 4), 4) == data
 
 
+def _to_bytes_join(words, word_bytes):
+    """The per-word packing ``words_to_bytes`` is pinned to."""
+    return b"".join([int(word).to_bytes(word_bytes, "big") for word in words])
+
+
+@given(st.data())
+@pytest.mark.parametrize("word_bytes", range(1, 9))
+def test_words_to_bytes_matches_per_word_join(word_bytes, data):
+    top = (1 << (8 * word_bytes)) - 1
+    words = data.draw(st.lists(st.integers(0, top), max_size=16))
+    # The widest word, so that an 8-byte block has bit 63 set.
+    words.append(top)
+    assert words_to_bytes(words, word_bytes) == _to_bytes_join(words, word_bytes)
+    assert words_to_bytes(iter(words), word_bytes) == \
+        _to_bytes_join(words, word_bytes)
+
+
+@pytest.mark.parametrize("word_bytes", range(1, 9))
+@pytest.mark.parametrize("misfit", ["too_wide", "negative"])
+def test_words_to_bytes_rejects_a_word_that_does_not_fit(word_bytes, misfit):
+    bad = 1 << (8 * word_bytes) if misfit == "too_wide" else -1
+    words = [1, bad, 2]
+    with pytest.raises(Exception) as joined:
+        _to_bytes_join(words, word_bytes)
+    with pytest.raises(Exception) as packed:
+        words_to_bytes(words, word_bytes)
+    assert joined.type is OverflowError
+    assert packed.type is joined.type
+
+
+def test_words_to_bytes_of_no_words():
+    assert words_to_bytes([], 4) == b""
+
+
 class TestWordArray:
     @pytest.mark.parametrize("word_bytes", range(1, 9))
     def test_equals_chunk_words_as_int64(self, word_bytes):

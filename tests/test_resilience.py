@@ -8,6 +8,7 @@ category/offset — never a hang, never a raw ``IndexError``/``KeyError``/
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -32,13 +33,17 @@ from repro.resilience import (
     unwrap_frame,
     wrap_frame,
 )
+from repro.obs import NullRecorder, obs_session, use_recorder
 from repro.resilience.errors import (
     CATEGORY_BOUNDS,
+    CATEGORY_BUDGET,
     CATEGORY_CHECKSUM,
     CATEGORY_MAGIC,
     CATEGORY_STRUCTURE,
+    CATEGORY_SYMBOL,
     CATEGORY_TRUNCATED,
     CATEGORY_VERSION,
+    decode_guard,
 )
 from repro.resilience.fuzz import build_targets, run_fuzz
 from repro.resilience.inject import (
@@ -50,6 +55,95 @@ from repro.resilience.inject import (
     splice_bytes,
     truncate,
 )
+
+
+class _BoundsAndValue(IndexError, ValueError):
+    """Both a bounds and a value error: the first guarded type wins."""
+
+
+#: A low-level error raised inside ``decode_guard`` -> its category.
+GUARD_CATEGORIES = [
+    (EOFError("ran dry"), CATEGORY_TRUNCATED),
+    (struct.error("unpack requires a buffer of 4 bytes"), CATEGORY_STRUCTURE),
+    (IndexError("list index out of range"), CATEGORY_BOUNDS),
+    (KeyError(7), CATEGORY_BOUNDS),
+    (MemoryError(), CATEGORY_BUDGET),
+    (OverflowError("int too big to convert"), CATEGORY_BUDGET),
+    (ValueError("not a symbol"), CATEGORY_SYMBOL),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+     CATEGORY_SYMBOL),
+    (_BoundsAndValue("both"), CATEGORY_BOUNDS),
+]
+
+
+def _guarded_raise(error, offset=None):
+    with decode_guard("test.decode", offset=offset):
+        raise error
+
+
+class TestDecodeGuard:
+    @pytest.mark.parametrize(
+        "error, category", GUARD_CATEGORIES,
+        ids=[type(error).__name__ for error, _ in GUARD_CATEGORIES],
+    )
+    def test_low_level_error_becomes_corrupted_stream(self, error, category):
+        with obs_session() as rec:
+            with pytest.raises(CorruptedStreamError) as caught:
+                _guarded_raise(error, offset=12)
+            counters = rec.snapshot()["counters"]
+        assert caught.value.category == category
+        assert caught.value.offset == 12
+        assert caught.value.__cause__ is error
+        assert str(caught.value) == (
+            f"test.decode: corrupted stream ({type(error).__name__}: "
+            f"{error}) [{category} at offset 12]"
+        )
+        assert counters == {
+            "resilience.corruption_detected": 1,
+            f"resilience.corruption.{category}": 1,
+        }
+
+    def test_corrupted_stream_error_passes_through_counted(self):
+        error = CorruptedStreamError("bad crc", offset=3,
+                                     category=CATEGORY_CHECKSUM)
+        with obs_session() as rec:
+            with pytest.raises(CorruptedStreamError) as caught:
+                _guarded_raise(error)
+            counters = rec.snapshot()["counters"]
+        assert caught.value is error
+        assert caught.value.__cause__ is None
+        assert (caught.value.category, caught.value.offset) == (
+            CATEGORY_CHECKSUM, 3)
+        assert counters == {
+            "resilience.corruption_detected": 1,
+            "resilience.corruption.checksum": 1,
+        }
+
+    @pytest.mark.parametrize("error", [
+        TypeError("unhashable"), ZeroDivisionError(), KeyboardInterrupt(),
+        RuntimeError("elsewhere"),
+    ], ids=lambda error: type(error).__name__)
+    def test_other_exceptions_pass_through_uncounted(self, error):
+        with obs_session() as rec:
+            with pytest.raises(type(error)) as caught:
+                _guarded_raise(error)
+            counters = rec.snapshot()["counters"]
+        assert caught.value is error
+        assert counters == {}
+
+    def test_clean_body_returns_and_counts_nothing(self):
+        with obs_session() as rec:
+            with decode_guard("test.decode"):
+                value = 41 + 1
+            counters = rec.snapshot()["counters"]
+        assert value == 42 and counters == {}
+
+    def test_telemetry_off_still_converts(self):
+        with use_recorder(NullRecorder()):
+            with pytest.raises(CorruptedStreamError) as caught:
+                _guarded_raise(IndexError("x"))
+        assert caught.value.category == CATEGORY_BOUNDS
+        assert caught.value.offset is None
 
 
 class TestFrame:
