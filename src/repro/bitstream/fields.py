@@ -10,9 +10,14 @@ the order they are fed to the Markov model.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, List, Sequence
 
 import numpy as np
+
+#: ``array`` stores words in host order; bytes are big-endian.
+_SWAP = sys.byteorder == "little"
 
 
 def extract_bits(word: int, positions: Sequence[int], width: int) -> int:
@@ -119,6 +124,21 @@ def word_array(data: bytes, word_bytes: int) -> np.ndarray:
     return lanes.view(">u8").ravel().astype(np.int64)
 
 
+#: Word width in bytes -> the unsigned ``array`` type code of that size.
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
 def words_to_bytes(words: Iterable[int], word_bytes: int) -> bytes:
-    """Serialise fixed-width words back to big-endian bytes."""
-    return b"".join([int(word).to_bytes(word_bytes, "big") for word in words])
+    """Serialise fixed-width words back to big-endian bytes.
+
+    Widths of 1, 2, 4 and 8 bytes pack in one ``array`` call, which
+    raises :class:`OverflowError`, as ``int.to_bytes`` does, for a word
+    that does not fit; other widths pack word by word.
+    """
+    code = _TYPECODES.get(word_bytes)
+    if code is None:
+        return b"".join([int(word).to_bytes(word_bytes, "big") for word in words])
+    packed = array(code, words)
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()

@@ -59,7 +59,7 @@ class SamcCodec:
     Parameters
     ----------
     word_bits:
-        Instruction width; must be a multiple of 8 (32 for MIPS, 8 for a
+        Instruction width; a multiple of 8 up to 64 (32 for MIPS, 8 for a
         byte-oriented CISC fallback).
     streams:
         Bit-position partition of the word.  Default: four equal
@@ -90,6 +90,12 @@ class SamcCodec:
     ) -> None:
         if word_bits % 8 != 0 or word_bits <= 0:
             raise ValueError("word_bits must be a positive multiple of 8")
+        if word_bits > 64:
+            # The kernels hold a word in an int64; archives refuse the
+            # same widths.
+            raise ValueError(
+                f"word_bits {word_bits} exceeds the 64-bit word limit"
+            )
         if block_size % (word_bits // 8) != 0:
             raise ValueError("block_size must hold a whole number of words")
         if probability_mode not in PROBABILITY_BITS:

@@ -9,7 +9,7 @@ therefore only needs hit/miss behaviour, not data storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -38,6 +38,13 @@ class InstructionCache:
 
     Parameters use the usual triple: total ``size_bytes``, ``block_size``
     (the paper's experiments fix 32 bytes), and ``associativity``.
+
+    The cache remembers the block of its last access.  Whether that
+    access hit or filled, it left the block's tag most recently used in
+    its set, and only a later access, :meth:`invalidate` or :meth:`flush`
+    can move it.  So an access to the same block again is a hit that
+    leaves the LRU order as it is, and is counted without a tag search
+    (DESIGN.md, "Decompress on miss: the fetch port").
     """
 
     def __init__(
@@ -53,8 +60,10 @@ class InstructionCache:
         self.block_size = block_size
         self.associativity = associativity
         self.n_sets = size_bytes // (block_size * associativity)
-        #: set index -> list of tags, most recently used last.
-        self._sets: Dict[int, List[int]] = {}
+        #: Each set's tags, most recently used last.
+        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
+        #: Block of the last access, or None after a flush or invalidate.
+        self._last: Optional[int] = None
         self.stats = CacheStats()
 
     def _locate(self, address: int) -> tuple:
@@ -63,15 +72,21 @@ class InstructionCache:
 
     def access(self, address: int) -> bool:
         """Touch ``address``; returns True on hit, False on miss (fills)."""
-        set_index, tag = self._locate(address)
-        ways = self._sets.setdefault(set_index, [])
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
+        block = address // self.block_size
+        if block == self._last:
+            stats.hits += 1
+            return True
+        self._last = block
+        ways = self._sets[block % self.n_sets]
+        tag = block // self.n_sets
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
-            self.stats.hits += 1
+            stats.hits += 1
             return True
-        self.stats.misses += 1
+        stats.misses += 1
         ways.append(tag)
         if len(ways) > self.associativity:
             ways.pop(0)
@@ -80,18 +95,21 @@ class InstructionCache:
     def contains(self, address: int) -> bool:
         """Non-mutating lookup (no stats, no LRU update)."""
         set_index, tag = self._locate(address)
-        return tag in self._sets.get(set_index, [])
+        return tag in self._sets[set_index]
 
     def invalidate(self, address: int) -> None:
         """Drop the line holding ``address``, if any (stats are kept)."""
         set_index, tag = self._locate(address)
-        ways = self._sets.get(set_index, [])
+        ways = self._sets[set_index]
         if tag in ways:
             ways.remove(tag)
+        self._last = None
 
     def flush(self) -> None:
         """Invalidate all lines (stats are kept)."""
-        self._sets.clear()
+        for ways in self._sets:
+            ways.clear()
+        self._last = None
 
     def block_index(self, address: int) -> int:
         """Program block number an address falls in."""

@@ -5,7 +5,7 @@ a corrupted block — it has to fail fast with a diagnosable error.  This
 package supplies the three pieces the rest of the repo builds on:
 
 * :mod:`repro.resilience.errors` — :class:`CorruptedStreamError` (offset
-  + category) and :func:`decode_guard`, the guaranteed-termination
+  + category) and :class:`decode_guard`, the guaranteed-termination
   boundary every decoder wraps its body in.
 * :mod:`repro.resilience.frame` — the opt-in ``RF01`` CRC-32 container
   (``REPRO_FRAMED=1``) for serialised archives and per-block payloads;

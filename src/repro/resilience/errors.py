@@ -11,7 +11,7 @@ The decode contract this module anchors is **guaranteed termination**:
 for *any* byte string, a decoder either returns output or raises
 ``CorruptedStreamError`` — no infinite loops, no unbounded allocation,
 and no raw ``IndexError``/``KeyError``/``EOFError``/``struct.error``
-escaping to the caller.  :func:`decode_guard` is the enforcement
+escaping to the caller.  :class:`decode_guard` is the enforcement
 boundary: wrap the body of a decode entry point in it and any low-level
 exception raised by malformed input is converted (with the original as
 ``__cause__``) and counted through :mod:`repro.obs`.
@@ -20,8 +20,7 @@ exception raised by malformed input is converted (with the original as
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.obs import get_recorder
 
@@ -72,9 +71,9 @@ class CorruptedStreamError(ValueError):
         return f"{base} [{self.category}{where}]"
 
 
-#: Low-level exception -> corruption category for :func:`decode_guard`,
-#: checked in order (``struct.error`` subclasses ``ValueError``, so it
-#: must be classified first).
+#: Low-level exception -> corruption category for :class:`decode_guard`,
+#: checked in order.  ``struct.error`` derives from ``Exception`` alone,
+#: not from ``ValueError``; ``UnicodeDecodeError`` is a ``ValueError``.
 _GUARDED = (
     (EOFError, CATEGORY_TRUNCATED),
     (struct.error, CATEGORY_STRUCTURE),
@@ -85,35 +84,41 @@ _GUARDED = (
     (ValueError, CATEGORY_SYMBOL),
 )
 
-_GUARDED_TYPES = tuple(exc for exc, _ in _GUARDED)
 
-
-@contextmanager
-def decode_guard(where: str, offset: Optional[int] = None) -> Iterator[None]:
+class decode_guard:
     """Convert low-level decode exceptions into ``CorruptedStreamError``.
 
     ``where`` names the decode path for the error message and the obs
     counter (``resilience.corruption_detected``).  A
     ``CorruptedStreamError`` raised inside the guard passes through
-    unchanged (but is still counted).
+    unchanged (but is still counted).  A class rather than a generator,
+    so that a block that raises nothing costs one small object.
     """
-    try:
-        yield
-    except CorruptedStreamError as error:
-        _count(where, error.category)
-        raise
-    except _GUARDED_TYPES as error:
-        category = CATEGORY_STRUCTURE
-        for exc_type, mapped in _GUARDED:
-            if isinstance(error, exc_type):
-                category = mapped
-                break
-        _count(where, category)
-        raise CorruptedStreamError(
-            f"{where}: corrupted stream ({error.__class__.__name__}: {error})",
-            offset=offset,
-            category=category,
-        ) from error
+
+    __slots__ = ("where", "offset")
+
+    def __init__(self, where: str, offset: Optional[int] = None) -> None:
+        self.where = where
+        self.offset = offset
+
+    def __enter__(self) -> None:
+        """Nothing to set up: the guard acts when its block raises."""
+
+    def __exit__(self, exc_type, error, traceback) -> None:
+        if exc_type is None:
+            return
+        if issubclass(exc_type, CorruptedStreamError):
+            _count(self.where, error.category)
+            return
+        for guarded, category in _GUARDED:
+            if issubclass(exc_type, guarded):
+                _count(self.where, category)
+                raise CorruptedStreamError(
+                    f"{self.where}: corrupted stream "
+                    f"({exc_type.__name__}: {error})",
+                    offset=self.offset,
+                    category=category,
+                ) from error
 
 
 def _count(where: str, category: str) -> None:

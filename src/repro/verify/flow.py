@@ -60,11 +60,12 @@ LOW_LEVEL_EXCEPTIONS = frozenset({
 _CATCH_ALL = frozenset({"Exception", "BaseException"})
 
 #: Superclasses that also catch a given low-level exception.
+#: ``struct.error`` (``error``) derives from ``Exception`` alone, so only
+#: the catch-all names catch it.
 _EXC_SUPERCLASSES: Dict[str, FrozenSet[str]] = {
     "IndexError": frozenset({"LookupError"}),
     "KeyError": frozenset({"LookupError"}),
     "UnicodeDecodeError": frozenset({"ValueError", "UnicodeError"}),
-    "error": frozenset({"ValueError"}),  # struct.error per decode_guard
 }
 
 #: Method names that consume input or shrink a worklist — evidence of

@@ -11,6 +11,16 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             SamcCodec(word_bits=12)
 
+    def test_words_wider_than_64_bits_rejected(self):
+        # The kernels hold a word in an int64, so a 72-bit codec could
+        # construct but never compress.
+        with pytest.raises(ValueError, match="64-bit word limit"):
+            SamcCodec(
+                word_bits=72,
+                block_size=36,
+                streams=[range(i, i + 8) for i in range(0, 72, 8)],
+            )
+
     def test_block_must_hold_whole_words(self):
         with pytest.raises(ValueError):
             SamcCodec(word_bits=32, block_size=30)

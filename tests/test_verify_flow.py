@@ -73,6 +73,25 @@ class TestBrokenFlowFixtures:
         assert "IndexError" in f.message
         assert "core/dec.py::decode" in f.message
 
+    def test_unpack_under_value_error_handler_leaks(self, tmp_path):
+        # struct.error derives from Exception alone, so an
+        # ``except ValueError`` around an unpack does not catch it.
+        root = _write_tree(tmp_path, {
+            "core/dec.py": """
+                import struct
+
+                # repro: contract decode-entry
+                def decode(data):
+                    try:
+                        return struct.unpack(">I", data)[0]
+                    except ValueError:
+                        return 0
+            """,
+        })
+        findings = _flow_lint(root)
+        assert [(f.rule, f.line) for f in findings] == [("exception-leak", 7)]
+        assert "struct.error" in findings[0].message
+
     def test_loop_progress(self, tmp_path):
         # A decode-reachable while loop whose body neither consumes
         # input nor advances a counter.
