@@ -364,59 +364,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     corpus and checks decodability invariants; layer 2 lints the package
     sources against repo-specific AST rules; layer 3 runs the
     whole-program contract analyses over the project call graph.
-    Accepted findings listed in ``.repro-check-baseline.json`` are
-    subtracted (auto-detected; ``--no-baseline`` disables, ``--baseline
-    PATH`` overrides).  ``--strict`` fails on any non-baselined finding
-    (warnings included) — the CI configuration.
+    ``--strict`` fails on any finding (warnings included) — the CI
+    configuration.  A finding is fixed, or suppressed in place with
+    ``# repro: noqa <rule> (reason)``.
     """
-    from pathlib import Path
-
     from repro.verify import exit_status, run_all_checks
-    from repro.verify.baseline import (
-        apply_baseline,
-        default_baseline_path,
-        load_baseline,
-        write_baseline,
-    )
 
     findings = run_all_checks(
         artifact_scale=args.scale,
         artifacts=not args.no_artifacts,
-        lint=not args.no_lint,
-        flow=not args.no_flow,
     )
-
-    baseline_path = None
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    elif not args.no_baseline:
-        baseline_path = default_baseline_path()
-
-    if args.write_baseline:
-        target = baseline_path if baseline_path is not None else Path(
-            ".repro-check-baseline.json"
-        )
-        write_baseline(findings, target)
-        print(f"wrote {len(findings)} accepted finding(s) to {target}")
-        return 0
-
-    matched = 0
-    stale: list = []
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"baseline error: {exc}", file=sys.stderr)
-            return 2
-        findings, matched, stale = apply_baseline(findings, entries)
 
     if args.format == "json":
         emit_json({
             "findings": [f.to_dict() for f in findings],
             "strict": args.strict,
             "status": exit_status(findings, strict=args.strict),
-            "baselined": matched,
-            "stale_baseline_entries": len(stale),
         })
     elif args.format == "sarif":
         from repro.verify.sarif import to_sarif
@@ -426,18 +389,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print_lines(
             (f.format() for f in findings),
             empty="all checks passed",
-        )
-        if matched:
-            print(
-                f"note: {matched} baselined finding(s) suppressed "
-                f"({baseline_path})",
-                file=sys.stderr,
-            )
-    for entry in stale:
-        print(
-            "warning: stale baseline entry (no longer matches): "
-            f"{entry['file']}: [{entry['rule']}] {entry['message']}",
-            file=sys.stderr,
         )
     errors = sum(f.severity == "error" for f in findings)
     warnings = len(findings) - errors
@@ -884,18 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample-corpus size for artifact checks")
     check.add_argument("--no-artifacts", action="store_true",
                        help="skip layer 1 (codec artifact invariants)")
-    check.add_argument("--no-lint", action="store_true",
-                       help="skip layer 2 (AST lint rules)")
-    check.add_argument("--no-flow", action="store_true",
-                       help="skip layer 3 (whole-program flow analyses)")
-    check.add_argument("--baseline", default=None, metavar="PATH",
-                       help="accepted-findings file (default: auto-detect "
-                            ".repro-check-baseline.json)")
-    check.add_argument("--no-baseline", action="store_true",
-                       help="ignore any baseline file; report raw findings")
-    check.add_argument("--write-baseline", action="store_true",
-                       help="accept every current finding into the baseline "
-                            "file and exit")
     check.set_defaults(func=_cmd_check)
 
     fuzz = sub.add_parser(

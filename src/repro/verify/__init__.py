@@ -26,7 +26,7 @@ check`` can render them as text or JSON and gate CI with ``--strict``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -81,19 +81,14 @@ def exit_status(findings: List[Finding], strict: bool = False) -> int:
 
 def run_all_checks(
     artifact_scale: float = 0.25,
-    lint_root: Optional[str] = None,
     artifacts: bool = True,
-    lint: bool = True,
-    flow: bool = True,
 ) -> List[Finding]:
-    """Run every verification layer and return the merged raw findings.
+    """Run every verification layer and return the merged findings.
 
     ``artifact_scale`` sizes the deterministic sample corpus the layer-1
-    checks build their tables from; ``lint_root`` overrides the source
-    tree the AST rules walk (defaults to the installed package);
-    ``flow=False`` skips the whole-program contract analyses.  Baseline
-    subtraction is a CLI concern — this function always returns the
-    full finding set.
+    checks build their tables from; ``artifacts=False`` skips layer 1.
+    The AST rules and the whole-program contract analyses always run,
+    over the installed package.
     """
     from repro.verify.codec_checks import run_artifact_checks
     from repro.verify.lint import run_lint
@@ -102,10 +97,7 @@ def run_all_checks(
     findings: List[Finding] = []
     if artifacts:
         findings.extend(run_artifact_checks(scale=artifact_scale))
-    if lint:
-        findings.extend(
-            run_lint(default_rules(include_flow=flow), root=lint_root)
-        )
+    findings.extend(run_lint(default_rules()))
     return sort_findings(findings)
 
 

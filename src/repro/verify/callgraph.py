@@ -6,15 +6,28 @@ from an untrusted-input entry point, which functions can run?  Python
 offers no static dispatch, so the graph resolves calls in three tiers:
 
 1. **Lexical** — ``foo()`` where ``foo`` is defined in the same module
-   resolves to that definition (module level preferred, then any
-   same-module definition of the name).
+   resolves to that definition (module level preferred, then a nested
+   def of the name).  A bare name never calls a method, so methods are
+   not candidates here; an imported ``foo`` is found by tier 2.
 2. **Import-directed** — ``mod.foo()`` where ``mod`` is an imported
-   ``repro`` module resolves inside that module; attribute calls on
-   *external* module aliases (``np``, ``struct``, ``os``) resolve to
-   nothing rather than falling through to name matching.
+   ``repro`` module resolves inside that module, and a bare ``foo``
+   imported from a ``repro`` module resolves to its definition there;
+   attribute calls on *external* module aliases (``np``, ``struct``,
+   ``os``) resolve to nothing rather than falling through to name
+   matching.
 3. **Dynamic-dispatch fallback** — any other ``obj.foo()`` (including
    ``self.foo()`` when the enclosing class has no such method) resolves
-   to *every* project function named ``foo``.  This deliberately
+   to every project function named ``foo`` *that the call's arguments
+   can bind to*.  A method binds as a bound method, its receiver taking
+   the first parameter; a function defined outside a class binds as a
+   plain function; and when the receiver names a project class
+   (``Encoder.encode(item, data)``) a method also binds as a plain
+   function.  Python raises ``TypeError`` before it runs a function
+   whose parameters the arguments cannot bind, so the filter removes
+   no edge that can run: a zero-argument ``instruction.encode()`` never
+   reaches ``HuffmanEncoder.encode(self, symbols)``.  Decorated
+   candidates (their signature may be rewritten) and calls with ``*``
+   or ``**`` arguments keep every candidate.  This deliberately
    over-approximates: reachability must never miss a decoder because it
    was invoked through a codec object of statically-unknown type.
 
@@ -24,6 +37,11 @@ every codec) is acceptable because the analyses scoped on top of the
 graph only report *locally verifiable* facts (an unguarded raise, a
 loop without a progress metric) — reaching too many functions can only
 surface real code, never fabricate a defect site.
+
+The graph models explicit calls only.  Code that runs implicitly —
+``__post_init__``, ``with`` hooks, property reads, and ``__init__``
+unless the class was imported by name — has no edge, so it is
+reachable only when some explicit call names it.
 """
 
 from __future__ import annotations
@@ -66,10 +84,12 @@ class _ModuleIndex:
     """Per-module name tables used during resolution."""
 
     toplevel: Dict[str, str] = field(default_factory=dict)
-    all_defs: Dict[str, List[str]] = field(default_factory=dict)
+    # module-level and nested defs: what a bare name can call
+    plain_defs: Dict[str, List[str]] = field(default_factory=dict)
     methods: Dict[str, Dict[str, str]] = field(default_factory=dict)
     # import alias -> repro module dotted path, or None for external
     imports: Dict[str, Optional[str]] = field(default_factory=dict)
+    classes: Set[str] = field(default_factory=set)
 
 
 class CallGraph:
@@ -134,7 +154,56 @@ def _index_module(module: ParsedModule) -> _ModuleIndex:
                     index.imports[bound] = f"{source}.{alias.name}"
                 else:
                     index.imports[bound] = None
+        elif isinstance(node, ast.ClassDef):
+            index.classes.add(node.name)
     return index
+
+
+def _binds(call: ast.Call, spec: ast.arguments, bound: bool) -> bool:
+    """Whether ``call``'s arguments bind to the parameters ``spec``.
+
+    ``bound`` passes the receiver as the first positional argument, as
+    Python does for a method looked up on an instance.  The call must
+    have no ``*``/``**`` arguments.
+    """
+    names = [a.arg for a in spec.posonlyargs + spec.args]
+    given = len(call.args) + bound
+    if given > len(names) and spec.vararg is None:
+        return False
+    filled = set(names[:given])
+    by_keyword = {a.arg for a in spec.args + spec.kwonlyargs}
+    for name in [k.arg for k in call.keywords if k.arg is not None]:
+        if name in by_keyword:
+            if name in filled:
+                return False  # multiple values for one parameter
+            filled.add(name)
+        elif spec.kwarg is None:
+            return False  # unexpected keyword argument
+    required = names[: len(names) - len(spec.defaults)]
+    required += [
+        a.arg
+        for a, default in zip(spec.kwonlyargs, spec.kw_defaults)
+        if default is None
+    ]
+    return filled.issuperset(required)
+
+
+def _may_run(call: ast.Call, info: FunctionInfo, on_class: bool) -> bool:
+    """Whether a tier-3 candidate passes the binding filter (tier 3 in
+    the module docstring)."""
+    node = info.node
+    if getattr(node, "decorator_list", None):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return True
+    spec = node.args  # type: ignore[attr-defined]
+    if info.class_name is None:
+        return _binds(call, spec, bound=False)
+    return _binds(call, spec, bound=True) or (
+        on_class and _binds(call, spec, bound=False)
+    )
 
 
 def _collect_functions(
@@ -212,8 +281,11 @@ def build_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
             dotted = info.qualname.split("::", 1)[1]
             if "." not in dotted:
                 index.toplevel[info.name] = info.qualname
-            index.all_defs.setdefault(info.name, []).append(info.qualname)
-            if info.class_name is not None:
+            if info.class_name is None:
+                index.plain_defs.setdefault(info.name, []).append(
+                    info.qualname
+                )
+            else:
                 index.methods.setdefault(info.class_name, {})[
                     info.name
                 ] = info.qualname
@@ -221,17 +293,36 @@ def build_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
     frozen_by_name = {
         name: tuple(quals) for name, quals in sorted(by_name.items())
     }
+    class_names: Set[str] = set()
+    for index in by_module.values():
+        class_names |= index.classes
 
-    def _fallback(name: str) -> Tuple[Tuple[str, ...], bool]:
+    def _fallback(
+        name: str, node: ast.Call
+    ) -> Tuple[Tuple[str, ...], bool]:
         # Dunder names never fall back: ``super().__init__()`` would
         # otherwise link every constructor in the project into one
         # giant reachability blob.
         if name.startswith("__") and name.endswith("__"):
             return (), True
-        return tuple(frozen_by_name.get(name, ())), True
+        candidates = frozen_by_name.get(name, ())
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            owner = func.value
+            on_class = (
+                isinstance(owner, ast.Name) and owner.id in class_names
+            ) or (
+                isinstance(owner, ast.Attribute) and owner.attr in class_names
+            )
+            candidates = tuple(
+                q for q in candidates
+                if _may_run(node, functions[q], on_class)
+            )
+        return candidates, True
 
     def resolve(
         caller: FunctionInfo,
+        node: ast.Call,
         receiver: Optional[str],
         name: str,
     ) -> Tuple[Tuple[str, ...], bool]:
@@ -241,8 +332,8 @@ def build_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
             # Bare-name call: same module first, else global name match.
             if name in index.toplevel:
                 return (index.toplevel[name],), False
-            if name in index.all_defs:
-                return tuple(index.all_defs[name]), False
+            if name in index.plain_defs:
+                return tuple(index.plain_defs[name]), False
             if name in index.imports:
                 target = index.imports[name]
                 if target is None:
@@ -260,8 +351,8 @@ def build_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
                         ctor = sub.methods.get(symbol, {}).get("__init__")
                         if ctor is not None:
                             return (ctor,), False
-                return _fallback(name)
-            return _fallback(name)
+                return _fallback(name, node)
+            return _fallback(name, node)
         if receiver == "self" and caller.class_name is not None:
             own = index.methods.get(caller.class_name, {})
             if name in own:
@@ -275,15 +366,16 @@ def build_callgraph(modules: Sequence[ParsedModule]) -> CallGraph:
                 sub = by_module.get(relpath)
                 if sub is not None and name in sub.toplevel:
                     return (sub.toplevel[name],), False
-        # Dynamic dispatch: any project function of this name.
-        return _fallback(name)
+        # Dynamic dispatch: any project function of this name that the
+        # call's arguments bind to.
+        return _fallback(name, node)
 
     call_sites: Dict[str, Tuple[CallSite, ...]] = {}
     for qualname, calls in pending.items():
         caller = functions[qualname]
         sites: List[CallSite] = []
         for node, receiver, name in calls:
-            resolved, fallback = resolve(caller, receiver, name)
+            resolved, fallback = resolve(caller, node, receiver, name)
             sites.append(CallSite(
                 caller=qualname,
                 callee_name=name,

@@ -37,8 +37,8 @@ Soundness/precision tradeoffs, in one place:
   nondeterministic" on an unrelated same-named helper costs more than
   the marginal recall.
 * All per-function recognisers are heuristic; anything they cannot
-  prove is a finding for a human to fix, ``# repro: noqa``, or accept
-  into the committed baseline.
+  prove is a finding for a human to fix or to suppress in place with
+  ``# repro: noqa <rule> (reason)``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.verify.callgraph import (
     build_callgraph,
 )
 from repro.verify.flow import (
+    CALLER_PRECONDITION_EXCEPTIONS,
     RiskyOp,
     analyze_taint,
     collect_safe_exceptions,
@@ -97,8 +98,12 @@ CLOCK_MODULE_RELPATH = "obs/clock.py"
 
 #: Exceptions a batch entry may raise beyond its scalar oracle's
 #: surface without drifting: the structured decode error is always
-#: legal, and NotImplementedError marks an honest capability gap.
-_DUAL_PATH_ALLOWED = frozenset({"CorruptedStreamError", "NotImplementedError"})
+#: legal, NotImplementedError marks an honest capability gap, and a
+#: caller-precondition raise checks arguments only the batch takes.
+_DUAL_PATH_ALLOWED = (
+    frozenset({"CorruptedStreamError", "NotImplementedError"})
+    | CALLER_PRECONDITION_EXCEPTIONS
+)
 
 
 def _contract_on_line(line: str) -> Optional[str]:

@@ -28,8 +28,8 @@ interprocedural layer composes over the call graph:
 
 All of it is deliberately heuristic: the recognisers accept the
 patterns this codebase (and the fixtures) actually use, and everything
-they cannot prove is reported for a human to fix, suppress with
-``# repro: noqa``, or accept into the baseline.
+they cannot prove is reported for a human to fix or to suppress in
+place with ``# repro: noqa <rule> (reason)``.
 """
 
 from __future__ import annotations
@@ -38,14 +38,22 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+#: Explicit raises that state a precondition on the *caller's*
+#: arguments (misaligned batch lists, an unknown algorithm name), not a
+#: wire-data failure.  Exception-leak does not track them (they are
+#: absent from LOW_LEVEL_EXCEPTIONS: tracking them floods the analysis
+#: with encode-side validation raises), and dual-path-drift lets a batch
+#: entry raise them where its scalar oracle does not, since a batch
+#: takes arguments, such as parallel lists, whose agreement its oracle
+#: has no reason to check.  Implicit wire-triggered ValueErrors
+#: (``int()`` on garbage) are a known precision gap, covered by the
+#: fuzz driver.
+CALLER_PRECONDITION_EXCEPTIONS = frozenset({"ValueError"})
+
 #: Exception types whose escape from a decode entry point breaks the
 #: guaranteed-termination contract (the types ``decode_guard``
-#: converts, see repro.resilience.errors._GUARDED).  ``ValueError`` is
-#: deliberately absent: an explicit ``raise ValueError("…")`` is a
-#: programmer-authored precondition on *caller* arguments, not a
-#: wire-data failure — tracking it floods the analysis with encode-side
-#: validation raises.  Implicit wire-triggered ValueErrors (``int()``
-#: on garbage) are a known precision gap, covered by the fuzz driver.
+#: converts, see repro.resilience.errors._GUARDED).  Disjoint from
+#: CALLER_PRECONDITION_EXCEPTIONS.
 LOW_LEVEL_EXCEPTIONS = frozenset({
     "IndexError",
     "KeyError",
@@ -886,6 +894,7 @@ def raised_names(func: ast.AST, safe_exceptions: FrozenSet[str]) -> Set[str]:
 
 
 __all__ = [
+    "CALLER_PRECONDITION_EXCEPTIONS",
     "CLOCK_NAMES",
     "CONSUMING_METHODS",
     "LOW_LEVEL_EXCEPTIONS",

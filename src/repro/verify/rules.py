@@ -327,22 +327,16 @@ class NoAssertInDecoder(FileRule):
         return findings
 
 
-def default_rules(include_flow: bool = True) -> List[object]:
-    """The rule set ``python -m repro check`` runs.
-
-    ``include_flow=False`` drops the whole-program contract analyses
-    (call-graph + dataflow), leaving only the token-level rules —
-    useful for fixtures that exercise one layer in isolation.
-    """
+def default_rules() -> List[object]:
+    """The rule set ``python -m repro check`` runs: the token-level
+    rules, then the whole-program contract analyses."""
     from repro.verify.contracts import flow_rules
 
-    rules: List[object] = [
+    return [
         NoFloatHotpath(),
         UnorderedIteration(),
         UnseededRandom(),
         NoWallclockInCodec(),
         NoAssertInDecoder(),
+        *flow_rules(),
     ]
-    if include_flow:
-        rules.extend(flow_rules())
-    return rules
