@@ -336,7 +336,7 @@ def _service_codecs():
 
 @settings(max_examples=30, deadline=None)
 @given(lz_blocks)
-def test_lzss_tokenize_blocks_differential(blocks):
+def test_lzss_parse_differential(blocks):
     """Each block's LZSS parse is the reference parse, and the service's
     ``gzipish`` batch, every block repeated, equals the per-block loop:
     the dedup path must replay, not alias-skip."""
@@ -351,7 +351,7 @@ def test_lzss_tokenize_blocks_differential(blocks):
 
 @settings(max_examples=30, deadline=None)
 @given(lz_blocks)
-def test_lzw_compress_blocks_differential(blocks):
+def test_lzw_compress_differential(blocks):
     """LZW's bytes are the reference coder's, per block and through the
     service's ``lzw`` batch with every block repeated."""
     expected = [_lzw_compress_reference(block) for block in blocks]

@@ -13,8 +13,7 @@ on its kernels (``fastpath``), so three properties are pinned at once:
 
 gzip's reference is its parse: gzip codes the LZSS tokens, so the
 ``reference`` check is that the kernel's parse is the reference parse.
-SADC-MIPS has a single coder, its own reference, and runs it on both
-paths.  Byte-Huffman, positional Huffman and SADC-x86 have a single
+SADC-MIPS, byte-Huffman, positional Huffman and SADC-x86 have a single
 coder each and are pinned once.
 
 If an intentional format change ever breaks these, regenerate the
@@ -154,8 +153,8 @@ def test_samc_golden_batch(coding_path, workload, monkeypatch):
     assert b"".join(decoded) == workload
 
 
-def test_sadc_golden(coding_path, workload):
-    """SADC-MIPS has one coder, its own reference, on both paths."""
+def test_sadc_golden(workload):
+    """SADC-MIPS has one coder, its own reference, pinned once."""
     tiny = workload[:TINY_BYTES]
     image = sadc_compress(tiny, isa="mips")
     assert tuple(len(block) for block in image.blocks) == SADC_BLOCK_LENGTHS
