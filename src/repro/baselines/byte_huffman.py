@@ -17,12 +17,11 @@ from typing import List, Sequence
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage, split_blocks
 from repro.entropy.huffman import (
-    HuffmanCode,
     HuffmanDecoder,
     HuffmanEncoder,
     build_code,
 )
-from repro.fastpath.huffman_kernel import compile_decode_table, decode_blocks_fast
+from repro.fastpath.huffman_kernel import decode_blocks_fast
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
 from repro.resilience.frame import block_payload
@@ -82,33 +81,31 @@ class ByteHuffmanCodec:
         """Random-access decode of a batch of cache blocks.
 
         The semantics are the per-block loop over
-        :meth:`decompress_block`.  The shared canonical table compiles to
-        a flat lookup table once and the batch decodes in lockstep
+        :meth:`decompress_block`.  The batch decodes in lockstep on the
+        code's decode table
         (:func:`repro.fastpath.huffman_kernel.decode_blocks_fast`).
-        Tables the flat lookup cannot hold, and any batch with a
-        corrupted stream, run that per-block loop instead, so the error
-        behaviour — which block raises, and what — is exactly the
-        loop's.  Output is byte-identical either way.
+        Codes the kernel does not take, and any batch with a corrupted
+        stream, run that per-block loop instead, so the error behaviour
+        — which block raises, and what — is exactly the loop's.  Output
+        is byte-identical either way.
         """
         indices = list(indices)
         if not indices:
             return []
-        table = compile_decode_table(image.metadata["code"])
-        if table is not None:
-            counts = [image.original_block_size(i) for i in indices]
-            with decode_guard("byte_huffman.decompress_blocks"):
-                payloads = [block_payload(image, index) for index in indices]
-                decoded = decode_blocks_fast(table, payloads, counts)
-            if decoded is not None:
-                return decoded
+        counts = [image.original_block_size(i) for i in indices]
+        with decode_guard("byte_huffman.decompress_blocks"):
+            code = image.metadata["code"]
+            payloads = [block_payload(image, index) for index in indices]
+            decoded = decode_blocks_fast(code, payloads, counts)
+        if decoded is not None:
+            return decoded
         return [self.decompress_block(image, index) for index in indices]
 
     def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
         """Random-access decode of one cache block."""
-        table: HuffmanCode = image.metadata["code"]
-        decoder = HuffmanDecoder(table)
         count = image.original_block_size(block_index)
         with decode_guard("byte_huffman.decompress_block"):
+            decoder = HuffmanDecoder(image.metadata["code"])
             symbols = decoder.decode(block_payload(image, block_index), count)
             # bytes() rejects symbols outside [0, 255] — a corrupted table
             # can decode such a symbol, so keep the conversion guarded.

@@ -211,7 +211,7 @@ def gzipish_decompress(payload: bytes) -> bytes:
 
         tokens: List[Token] = []
         while True:
-            symbol = litlen_decoder.decode_from(reader, 1)[0]
+            symbol = litlen_decoder.decode_symbol(reader)
             if symbol == END_OF_BLOCK:
                 break
             if symbol < 256:
@@ -219,7 +219,7 @@ def gzipish_decompress(payload: bytes) -> bytes:
                 continue
             extra, base = _LENGTH_BY_SYMBOL[symbol]
             length = base + (reader.read_bits(extra) if extra else 0)
-            dsymbol = dist_decoder.decode_from(reader, 1)[0]
+            dsymbol = dist_decoder.decode_symbol(reader)
             dextra, dbase = _DISTANCE_BY_SYMBOL[dsymbol]
             distance = dbase + (reader.read_bits(dextra) if dextra else 0)
             tokens.append(Match(length, distance))

@@ -14,7 +14,7 @@ uses it to quantify the paper's argument.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List
+from typing import List, Sequence
 
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.lat import CompressedImage, split_blocks
@@ -25,6 +25,7 @@ from repro.entropy.huffman import (
     build_code,
 )
 from repro.resilience.errors import decode_guard
+from repro.resilience.frame import block_payload
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -64,7 +65,7 @@ class PositionalHuffmanCodec:
 
         model_bits = sum(table.table_bits(8) for table in tables)
         return CompressedImage(
-            algorithm="byte-huffman",  # same decoder class and timing
+            algorithm="positional-huffman",
             original_size=len(code),
             block_size=self.block_size,
             blocks=blocks,
@@ -76,9 +77,15 @@ class PositionalHuffmanCodec:
     # repro: contract decode-entry
     def decompress(self, image: CompressedImage) -> bytes:
         return b"".join(
-            self.decompress_block(image, index)
-            for index in range(image.block_count())
+            self.decompress_blocks(image, range(image.block_count()))
         )
+
+    # repro: contract decode-entry
+    def decompress_blocks(
+        self, image: CompressedImage, indices: Sequence[int]
+    ) -> List[bytes]:
+        """Batch form of :meth:`decompress_block`: the per-block loop."""
+        return [self.decompress_block(image, index) for index in indices]
 
     def decompress_block(self, image: CompressedImage, block_index: int) -> bytes:
         count = image.original_block_size(block_index)
@@ -89,11 +96,11 @@ class PositionalHuffmanCodec:
             # CorruptedStreamError, never a low-level exception.
             tables: List[HuffmanCode] = image.metadata["positional_tables"]
             decoders = [HuffmanDecoder(table) for table in tables]
-            reader = BitReader(image.blocks[block_index])
+            reader = BitReader(block_payload(image, block_index))
             out = bytearray()
             for index in range(count):
-                out.extend(
-                    decoders[index % self.word_bytes].decode_from(reader, 1)
+                out.append(
+                    decoders[index % self.word_bytes].decode_symbol(reader)
                 )
             return bytes(out)
 

@@ -341,7 +341,7 @@ class X86SadcCodec:
 
             opcode_entries: List[bytes] = []
             while len(opcode_entries) < expected:
-                token = token_decoder.decode_from(reader, 1)[0]
+                token = token_decoder.decode_symbol(reader)
                 expansion = dictionary.entries[token]
                 if not expansion or not all(expansion):
                     # A token must expand to at least one non-empty
@@ -360,8 +360,10 @@ class X86SadcCodec:
             for entry_bytes in opcode_entries:
                 instruction = reassemble_instruction(
                     entry_bytes,
-                    lambda: modrm_decoder.decode_from(reader, 1)[0],
-                    lambda n: bytes(imm_decoder.decode_from(reader, n)),
+                    lambda: modrm_decoder.decode_symbol(reader),
+                    lambda n: bytes(
+                        [imm_decoder.decode_symbol(reader) for _ in range(n)]
+                    ),
                 )
                 out.extend(instruction.encode())
             return bytes(out)

@@ -77,7 +77,8 @@ def uses_imm26(spec: OpcodeSpec) -> bool:
 #: :func:`register_slots` order, then the 16- and 26-bit immediates.
 REG_SLOTS = max(map(len, _REGISTER_SLOTS.values()))
 IMM16_COLUMN, IMM26_COLUMN = REG_SLOTS, REG_SLOTS + 1
-_FIELD_SHIFTS = {"rs": 21, "rt": 16, "rd": 11, "shamt": 6}
+#: Bit position of each register slot's field in the machine word.
+FIELD_SHIFTS = {"rs": 21, "rt": 16, "rd": 11, "shamt": 6}
 
 #: Per opcode id: its fixed bits (everything :func:`decode` reads to
 #: identify it), and each operand column's shift and mask (mask 0 where
@@ -88,7 +89,7 @@ _MASKS = np.zeros((len(OPCODES), REG_SLOTS + 2), dtype=np.int64)
 for _id, _spec in ID_TO_SPEC.items():
     _FIXED[_id] = Instruction(_spec).encode()
     for _column, _slot in enumerate(register_slots(_spec)):
-        _SHIFTS[_id, _column] = _FIELD_SHIFTS[_slot]
+        _SHIFTS[_id, _column] = FIELD_SHIFTS[_slot]
         _MASKS[_id, _column] = 0x1F
     _MASKS[_id, IMM16_COLUMN] = 0xFFFF if uses_imm16(_spec) else 0
     _MASKS[_id, IMM26_COLUMN] = 0x3FFFFFF if uses_imm26(_spec) else 0

@@ -84,7 +84,7 @@ CONSUMING_METHODS = frozenset({
     "read_bits",
     "read_bytes",
     "readexactly",
-    "decode_from",
+    "decode_symbol",
     "pop",
     "popleft",
     "next_byte",

@@ -22,6 +22,8 @@ call these functions directly and compare with production.
 * **I-cache** -- :class:`InstructionCache`, the set-associative LRU
   model as first written: a dict of sets, and a tag search on every
   access.
+* **Huffman** -- :class:`BitWalkDecoder`, the bit-at-a-time decoder that
+  probes a ``(length, codeword)`` dictionary after every bit.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from repro.baselines.lzss import (
 )
 from repro.baselines.lzw import CLEAR_CODE, FIRST_CODE, MAX_BITS, MIN_BITS
 from repro.bitstream.fields import chunk_words, words_to_bytes
-from repro.bitstream.io import BitWriter
+from repro.bitstream.io import BitReader, BitWriter
 from repro.core.samc.model import SamcModel, StreamModel, node_index
 from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_interval
 from repro.memory.cache import CacheStats
 from repro.obs import get_recorder
+from repro.resilience.errors import CATEGORY_SYMBOL, CorruptedStreamError
 from repro.resilience.frame import block_payload
 
 _TOP = 1 << 24
@@ -550,3 +553,42 @@ class InstructionCache:
     def flush(self) -> None:
         """Invalidate all lines (stats are kept)."""
         self._sets.clear()
+
+
+# ---------------------------------------------------------------------------
+# Huffman: the bit walk
+
+
+class BitWalkDecoder:
+    """:class:`repro.entropy.huffman.HuffmanDecoder` one bit at a time.
+
+    After every bit it looks the bits read so far up among the code's
+    ``(length, codeword)`` pairs.  One bit past the longest length it
+    gives up with a ``symbol`` error at the byte holding that bit; the
+    stream ending first is the reader's :class:`EOFError`.
+    """
+
+    def __init__(self, code) -> None:
+        self._table = {
+            (code.lengths[s], code.codewords[s]): s for s in code.lengths
+        }
+        self._max_length = max(code.lengths.values(), default=0)
+
+    def decode_symbol(self, reader: BitReader) -> int:
+        length = 0
+        word = 0
+        while True:
+            word = (word << 1) | reader.read_bit()
+            length += 1
+            if (length, word) in self._table:
+                return self._table[(length, word)]
+            if length > self._max_length:
+                raise CorruptedStreamError(
+                    "invalid Huffman bit sequence",
+                    offset=reader.bit_position // 8,
+                    category=CATEGORY_SYMBOL,
+                )
+
+    def decode(self, data: bytes, count: int) -> List[int]:
+        reader = BitReader(data)
+        return [self.decode_symbol(reader) for _ in range(count)]

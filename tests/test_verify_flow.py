@@ -918,7 +918,7 @@ def test_decompress_image_reaches_every_codec_decode_path(real_graph):
         "core/sadc/x86_reassemble.py::reassemble_instruction",
         "baselines/byte_huffman.py::ByteHuffmanCodec.decompress_blocks",
         "fastpath/huffman_kernel.py::decode_blocks_fast",
-        "entropy/huffman.py::HuffmanDecoder.decode_from",
+        "entropy/huffman.py::HuffmanDecoder.decode_symbol",
     } <= reachable
 
 
