@@ -52,6 +52,12 @@ def block_codec(image: CompressedImage):
         from repro.baselines.byte_huffman import ByteHuffmanCodec
 
         return ByteHuffmanCodec(image.block_size)
+    if image.algorithm == "positional-huffman":
+        from repro.baselines.positional_huffman import PositionalHuffmanCodec
+
+        return PositionalHuffmanCodec(
+            image.block_size, image.metadata["word_bytes"]
+        )
     raise ValueError(f"unknown algorithm {image.algorithm!r}")
 
 

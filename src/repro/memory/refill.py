@@ -25,6 +25,8 @@ DECOMPRESS_BITS_PER_CYCLE = {
     "SAMC": 4.0,
     "SADC": 16.0,  # ~one 32-bit instruction per 2 cycles
     "byte-huffman": 8.0,
+    # Byte-Huffman's decoder class and timing, one table per byte position.
+    "positional-huffman": 8.0,
 }
 
 

@@ -31,6 +31,20 @@ class TestRoundtrip:
         want = mips_program[index * 32 : (index + 1) * 32]
         assert codec.decompress_block(image, index) == want
 
+    def test_image_without_a_code_is_corrupted(self, mips_program):
+        # Each decode entry reads the image's table inside its guard.
+        codec = ByteHuffmanCodec()
+        image = codec.compress(mips_program)
+        del image.metadata["code"]
+        for decode in (
+            lambda: codec.decompress(image),
+            lambda: codec.decompress_block(image, 0),
+            lambda: codec.decompress_blocks(image, [0, 1]),
+        ):
+            with pytest.raises(CorruptedStreamError) as info:
+                decode()
+            assert info.value.category == CATEGORY_BOUNDS
+
     def test_block_out_of_range(self, mips_program):
         # These codecs size their blocks through the image, so each
         # rejects an index past the program with the same typed error.

@@ -8,7 +8,10 @@ from repro.baselines.positional_huffman import (
     PositionalHuffmanCodec,
     positional_huffman_ratio,
 )
+from repro.core import decompress_image
 from repro.core.samc import SamcCodec
+from repro.core.serialize import SerializationError, serialize_image
+from repro.memory.fetchsim import CompressedFetchPort
 
 
 class TestRoundtrip:
@@ -16,6 +19,38 @@ class TestRoundtrip:
         codec = PositionalHuffmanCodec()
         image = codec.compress(mips_program)
         assert codec.decompress(image) == mips_program
+
+    def test_decompress_image(self, mips_program):
+        # A positional image names its own algorithm, so the generic
+        # entry picks this codec, not byte-Huffman's.
+        image = PositionalHuffmanCodec().compress(mips_program)
+        assert image.algorithm == "positional-huffman"
+        assert decompress_image(image) == mips_program
+
+    def test_fetch_port(self, mips_program):
+        image = PositionalHuffmanCodec().compress(mips_program)
+        port = CompressedFetchPort(image)
+        words = [
+            port.fetch(address) for address in range(0, len(mips_program), 4)
+        ]
+        assert b"".join(w.to_bytes(4, "big") for w in words) == mips_program
+        # Refills are timed as byte-Huffman's, one byte per cycle.
+        assert port.engine.decompression_cycles(32) == 32
+
+    def test_batch_is_the_block_loop(self, mips_program):
+        codec = PositionalHuffmanCodec()
+        image = codec.compress(mips_program)
+        indices = [3, 0, 3]
+        assert codec.decompress_blocks(image, indices) == [
+            codec.decompress_block(image, i) for i in indices
+        ]
+
+    def test_serialise_refuses_the_algorithm(self, mips_program):
+        image = PositionalHuffmanCodec().compress(mips_program)
+        with pytest.raises(
+            SerializationError, match="cannot serialise algorithm"
+        ):
+            serialize_image(image)
 
     def test_random_access(self, mips_program):
         codec = PositionalHuffmanCodec()
