@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lat import CompressedImage
 from repro.core.sadc.entry import DictEntry, Dictionary
 from repro.core.sadc import mips
 from repro.core.sadc.mips import (
@@ -20,7 +21,14 @@ from repro.core.sadc.mips import (
 )
 from repro.entropy.huffman import HuffmanCode, build_code
 from repro.isa.mips.asm import assemble_one, assemble_to_bytes
-from repro.isa.mips.streams import ID_TO_SPEC, OPCODE_IDS
+from repro.isa.mips.streams import (
+    ID_TO_SPEC,
+    OPCODE_IDS,
+    register_slots,
+    uses_imm16,
+    uses_imm26,
+)
+from repro.resilience.errors import CorruptedStreamError
 from repro.workloads.profiles import BENCHMARK_NAMES
 from repro.workloads.suite import generate_benchmark
 
@@ -658,3 +666,92 @@ def test_candidate_keys_that_cannot_fit_fail_loudly():
         MipsSadcCodec(max_entries=(1 << 20) + 1).build_dictionary(blocks)
     with pytest.raises(ValueError, match="candidate keys"):
         MipsSadcCodec(block_size=1 << 30).build_dictionary(blocks)
+
+
+# ---------------------------------------------------------------------------
+# Decode: each entry expands through the steps built from its operand plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decode_steps_match_to_word(data):
+    """A step's word, with streamed operands of any size ORed in at its
+    shifts and masks, is the word ``InstrRec.to_word`` builds."""
+    dictionary = _STEPS_IMAGE.metadata["dictionary"]
+    index = data.draw(st.integers(0, len(dictionary) - 1))
+    entry = dictionary.entries[index]
+    steps = mips._decode_steps(dictionary, index)
+    assert len(steps) == entry.length
+    operand = st.integers(0, 2**32 - 1)
+    for j, (word, shifts, imm16, imm26) in enumerate(steps):
+        spec = ID_TO_SPEC[entry.opcodes[j]]
+        regs = [
+            entry.reg_binding(j, slot)
+            for slot in range(len(register_slots(spec)))
+        ]
+        streamed = [slot for slot, value in enumerate(regs) if value is None]
+        assert len(shifts) == len(streamed)
+        for slot, shift in zip(streamed, shifts):
+            regs[slot] = data.draw(operand)
+            word |= (regs[slot] & 0x1F) << shift
+        immediates = []
+        for uses, streams, binding, mask in (
+            (uses_imm16(spec), imm16, entry.imm16_binding(j), 0xFFFF),
+            (uses_imm26(spec), imm26, entry.imm26_binding(j), 0x3FFFFFF),
+        ):
+            assert streams == (uses and binding is None)
+            value = data.draw(operand) if streams else binding
+            immediates.append(value if uses else None)
+            if streams:
+                word |= value & mask
+        rec = InstrRec(entry.opcodes[j], tuple(regs), *immediates)
+        assert word == rec.to_word()
+
+
+_STEPS_IMAGE = MipsSadcCodec().compress(
+    generate_benchmark("vortex", "mips", scale=0.05).code
+)
+
+
+def _one_entry_image(opcodes, payload):
+    """A two-instruction SADC image whose dictionary holds one entry,
+    ``opcodes``, coded by one-bit tokens and flat operand codes."""
+    dictionary = Dictionary()
+    dictionary.entries.append(DictEntry(opcodes))
+    flat = {"regs": 32, "imm16_hi": 256, "imm16_lo": 256,
+            "imm26_hi": 1024, "imm26_lo": 256}
+    codes = {"tokens": build_code({0: 1})}
+    for name, size in flat.items():
+        codes[name] = build_code(dict.fromkeys(range(size), 1))
+    return CompressedImage(
+        algorithm="SADC", original_size=8, block_size=32, blocks=[payload],
+        model_bytes=0,
+        metadata={"isa": "mips", "dictionary": dictionary, "codes": codes},
+    )
+
+
+class TestDecodeErrorOrder:
+    """An entry holding an opcode id the ISA lacks fails only after the
+    instructions before it have read their operands."""
+
+    ADDIU = OPCODE_IDS["addiu"]
+
+    def test_unknown_opcode_after_its_operands(self):
+        # token 0, rt 1, rs 2, imm16 hi 3 and lo 4: 1 + 5 + 5 + 8 + 8 bits.
+        payload = (0b0_00001_00010_00000011_00000100 << 5).to_bytes(4, "big")
+        image = _one_entry_image((self.ADDIU, 200), payload)
+        with pytest.raises(CorruptedStreamError, match="KeyError: 200") as info:
+            MipsSadcCodec().decompress_block(image, 0)
+        assert info.value.category == "bounds"
+
+    def test_operands_run_out_first(self):
+        image = _one_entry_image((self.ADDIU, 200), b"\x00\x00")
+        with pytest.raises(CorruptedStreamError) as info:
+            MipsSadcCodec().decompress_block(image, 0)
+        assert info.value.category == "truncated"
+
+    def test_unknown_opcode_first(self):
+        image = _one_entry_image((200, self.ADDIU), b"\x00\x00")
+        with pytest.raises(CorruptedStreamError, match="KeyError: 200") as info:
+            MipsSadcCodec().decompress_block(image, 0)
+        assert info.value.category == "bounds"
