@@ -154,6 +154,9 @@ class Dictionary:
         self._ranks: List[Tuple[int, int]] = []
         #: first base opcode -> entry indices, longest/most-bound first.
         self._by_first: Dict[int, List[int]] = {}
+        #: entry index -> how the MIPS decoder expands it, filled in on
+        #: first use (``repro.core.sadc.mips._decode_steps``).
+        self.decode_steps: Dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
