@@ -88,6 +88,22 @@ class TestBitReader:
         reader.read_bits(8)
         assert reader.read_bits(16) == 0
 
+    def test_peek_reads_zeros_past_the_end(self):
+        reader = BitReader(b"\xa5")
+        reader.read_bits(4)
+        assert reader.peek_bits(8) == 0x50  # 0101, then zero fill
+        assert reader.bit_position == 4
+
+    def test_skip_past_the_end_stops_at_the_end(self):
+        reader = BitReader(b"\xa5")
+        reader.skip_bits(3)
+        with pytest.raises(EOFError, match="read past end of bit stream"):
+            reader.skip_bits(6)
+        assert reader.bit_position == 8
+        padded = BitReader(b"\xa5", pad=True)
+        padded.skip_bits(9)
+        assert padded.bit_position == 9
+
     def test_seek_bit_enables_random_access(self):
         reader = BitReader(b"\x0f")
         reader.seek_bit(4)
