@@ -359,35 +359,15 @@ class TestSerializerHardening:
                 pass
 
     def test_zero_probability_table_rejected(self, mips_program):
-        from repro.core.samc.model import SamcModel
-
+        # Zero the archive's first stored probability: the read rejects
+        # the table at the untrusted boundary, before any model exists.
         image = SamcCodec.for_mips().compress(mips_program)
-        model = image.metadata["model"]
-        table = model.stream_models[0].frozen_table.copy()
-        table[0, 0] = 0
-        # Rebuild the image's model with the poisoned table and check the
-        # serialised form is rejected on read (the untrusted boundary).
-        tables = [sm.frozen_table.copy() for sm in model.stream_models]
-        tables[0][0, 0] = 0
-        bad_model = SamcModel.from_frozen(
-            model.width, [s.positions for s in model.specs],
-            model.connect_bits, tables,
-        )
-        metadata = dict(image.metadata)
-        metadata["model"] = bad_model
-        from repro.core.lat import CompressedImage
-
-        bad_image = CompressedImage(
-            algorithm=image.algorithm,
-            original_size=image.original_size,
-            block_size=image.block_size,
-            blocks=image.blocks,
-            model_bytes=image.model_bytes,
-            metadata=metadata,
-        )
-        data = serialize_image(bad_image, framed=False)
-        with pytest.raises(SerializationError):
-            deserialize_image(data)
+        data = serialize_image(image, framed=False)
+        header = 19 + 2 * image.block_count()
+        layout = 4 + sum(1 + spec.k for spec in image.metadata["streams"])
+        with pytest.raises(SerializationError) as info:
+            deserialize_image(self._mutate(data, header + layout, 0))
+        assert "outside [1, 65535]" in str(info.value)
 
     def test_serialization_error_is_corrupted_stream_error(self):
         assert issubclass(SerializationError, CorruptedStreamError)

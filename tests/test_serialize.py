@@ -1,5 +1,7 @@
 """Tests for the standalone on-ROM image format."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines.byte_huffman import ByteHuffmanCodec
@@ -108,3 +110,213 @@ class TestErrors:
     def test_unknown_algorithm_id(self):
         with pytest.raises(SerializationError):
             deserialize_image(b"RCC1" + b"\x09" + b"\x00" * 14)
+
+
+# ---------------------------------------------------------------------------
+# Pinned archives: the exact bytes of every image codec's archive, and the
+# exact error a malformed one raises.
+
+#: Header bytes before the block-size table: magic, algorithm, original
+#: size, block size, model bytes, block count.
+HEADER_BYTES = 19
+
+#: SHA-256 of ``serialize_image(image, framed=False)`` per archive.
+ARCHIVE_DIGESTS = {
+    "samc-full": "0261a24cce3c6f16cc29d536275e183e16e908edaf88e89d875139e56b16c117",
+    "samc-full16": "e523324399772474bb85d9cd8df34b95c9b1ee81c022c7af8b1606f1cb172249",
+    "samc-pow2": "0a4f22f8b91cf7223e90055dccee1c2765475a966c66061bf6808fbcf80ce745",
+    "samc-split": "5fbac2d9fecf9ac52bb6de4265e90c58fdbc1cf706ea31d55b2266cce777c371",
+    "samc-bytes": "4a17cf62998131dbeb2b09eae93a8e66ff10a80742608c696e039e3849f97c30",
+    "sadc-mips": "53f1d172be38c11cc2c2ef58c382889e8494931ece9d209a57c88cf876e1da78",
+    "sadc-x86": "107d6a7c43337d22ad8417d36a3e3658e1e491066b9d7b7977b18692b45d1338",
+    "byte-huffman": "6fb3379bc4ceef5ba2e337351ecc8bc2ac62ebad79f455b071a7e2af02504ebd",
+}
+
+
+@pytest.fixture(scope="module")
+def archives(mips_program, mips_program_large, x86_program):
+    """Every pinned archive, by name: SAMC in each probability mode, on
+    a non-contiguous partition without connection, and on bytes; SADC
+    for both ISAs (MIPS with bound operands); byte-Huffman."""
+    interleaved = [tuple(range(start, 32, 4)) for start in range(4)]
+    images = {
+        "samc-full": SamcCodec.for_mips().compress(mips_program),
+        "samc-full16": SamcCodec.for_mips(probability_mode="full16")
+        .compress(mips_program),
+        "samc-pow2": SamcCodec.for_mips(probability_mode="pow2")
+        .compress(mips_program),
+        "samc-split": SamcCodec(streams=interleaved, connect_bits=0)
+        .compress(mips_program),
+        "samc-bytes": SamcCodec.for_bytes().compress(x86_program),
+        "sadc-mips": MipsSadcCodec().compress(mips_program_large),
+        "sadc-x86": X86SadcCodec().compress(x86_program),
+        "byte-huffman": ByteHuffmanCodec().compress(mips_program),
+    }
+    return {
+        name: serialize_image(image, framed=False)
+        for name, image in images.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ARCHIVE_DIGESTS))
+def test_archive_bytes_pinned(archives, name):
+    assert hashlib.sha256(archives[name]).hexdigest() == ARCHIVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ARCHIVE_DIGESTS))
+def test_archive_survives_a_read_and_write(archives, name):
+    archive = archives[name]
+    assert serialize_image(deserialize_image(archive), framed=False) == archive
+
+
+def test_sadc_mips_archive_carries_bound_operands(archives):
+    dictionary = deserialize_image(archives["sadc-mips"]).metadata["dictionary"]
+    assert any(
+        entry.bound_regs or entry.bound_imm16 or entry.bound_imm26
+        for entry in dictionary.entries
+    )
+
+
+def _model_start(archive):
+    """Offset of the model section: the header, then one u16 per block."""
+    return HEADER_BYTES + 2 * int.from_bytes(archive[15:19], "big")
+
+
+def _samc_tables(archive):
+    """``(start, end)`` of each stream's probability table in a SAMC
+    archive, parsed from the stream sizes and connection order."""
+    pos = _model_start(archive)
+    _width, n_streams, connect_bits, mode = archive[pos : pos + 4]
+    pos += 4
+    sizes = []
+    for _ in range(n_streams):
+        sizes.append(archive[pos])
+        pos += 1 + archive[pos]
+    spans = []
+    for k in sizes:
+        end = pos + ((1 << k) - 1 << connect_bits) * (2 if mode == 1 else 1)
+        spans.append((pos, end))
+        pos = end
+    return spans
+
+
+def _read_error(archive):
+    """``(message, category, offset)`` of the archive's read error."""
+    with pytest.raises(SerializationError) as info:
+        deserialize_image(bytes(archive))
+    error = info.value
+    return error.args[0], error.category, error.offset
+
+
+def _with(archive, offset, *values):
+    """``archive`` with the bytes from ``offset`` replaced by ``values``."""
+    changed = bytearray(archive)
+    changed[offset : offset + len(values)] = bytes(values)
+    return bytes(changed)
+
+
+TRUNCATED = "truncated image"
+OUT_OF_RANGE = "SAMC probability table holds values outside [1, 65535]"
+
+
+class TestPinnedCuts:
+    """An archive cut inside each of its sections."""
+
+    def test_header(self, archives):
+        assert _read_error(archives["samc-full"][:10]) == (
+            TRUNCATED, "truncated", 9,
+        )
+
+    def test_block_size_table(self, archives):
+        assert _read_error(archives["samc-full"][: HEADER_BYTES + 3]) == (
+            "block size table: 42 declared entries need at least 84 bytes, "
+            "only 3 left",
+            "budget", 19,
+        )
+
+    def test_samc_table(self, archives):
+        archive = archives["samc-full"]
+        start, end = _samc_tables(archive)[1]
+        assert _read_error(archive[: (start + end) // 2]) == (
+            "SAMC table: 510 declared entries need at least 510 bytes, "
+            "only 255 left",
+            "budget", 653,
+        )
+
+    def test_huffman_table(self, archives):
+        archive = archives["byte-huffman"]
+        cut = _model_start(archive) + 2 + 5 * 3 + 2
+        assert _read_error(archive[:cut]) == (
+            "Huffman table: 134 declared entries need at least 670 bytes, "
+            "only 17 left",
+            "budget", 105,
+        )
+
+    def test_payloads(self, archives):
+        assert _read_error(archives["samc-full"][:-1]) == (
+            TRUNCATED, "truncated", 2887,
+        )
+
+
+class TestPinnedSamcErrors:
+    def test_unknown_probability_mode(self, archives):
+        archive = archives["samc-full"]
+        mode_at = _model_start(archive) + 3
+        assert _read_error(_with(archive, mode_at, 3)) == (
+            "unknown probability mode", "structure", mode_at,
+        )
+
+    def test_connect_bits_over_the_format_maximum(self, archives):
+        archive = archives["samc-full"]
+        assert _read_error(_with(archive, _model_start(archive) + 2, 17)) == (
+            "connect_bits 17 exceeds the format maximum 16", "structure", None,
+        )
+
+    def test_stream_size_zero(self, archives):
+        archive = archives["samc-full"]
+        size_at = _model_start(archive) + 4
+        assert _read_error(_with(archive, size_at, 0)) == (
+            "implausible stream size 0 for width 32", "structure", size_at,
+        )
+
+    @pytest.mark.parametrize("name, stream, zero, offset", [
+        ("samc-full", 0, (0,), 653),
+        ("samc-full", 2, (0,), 1673),
+        ("samc-full16", 0, (0, 0), 1163),
+        ("samc-full16", 2, (0, 0), 3203),
+        ("samc-pow2", 0, (0,), 653),
+        ("samc-pow2", 2, (0,), 1673),
+    ])
+    def test_zero_probability(self, archives, name, stream, zero, offset):
+        """The first probability of a stream made 0 (``full`` and
+        ``full16``) or ``PROB_ONE`` (``pow2``'s exponent 0); the error
+        names the end of that stream's table."""
+        archive = archives[name]
+        start, _ = _samc_tables(archive)[stream]
+        assert _read_error(_with(archive, start, *zero)) == (
+            OUT_OF_RANGE, "structure", offset,
+        )
+
+    def test_pow2_exponent_over_16(self, archives):
+        archive = archives["samc-pow2"]
+        start, end = _samc_tables(archive)[1]
+        assert _read_error(_with(archive, start + 7, 17)) == (
+            OUT_OF_RANGE, "structure", end,
+        )
+
+
+class TestPinnedHuffmanErrors:
+    def test_zero_length_codeword(self, archives):
+        archive = archives["byte-huffman"]
+        third = _model_start(archive) + 2 + 5 * 2
+        assert _read_error(_with(archive, third + 4, 0)) == (
+            "Huffman symbol 2 declares a zero-length codeword",
+            "structure", third + 4,
+        )
+
+    def test_non_byte_symbol(self, archives):
+        archive = archives["byte-huffman"]
+        first = _model_start(archive) + 2
+        assert _read_error(_with(archive, first, 0, 0, 1, 0)) == (
+            "byte-Huffman table holds non-byte symbol 256", "structure", 775,
+        )
