@@ -24,7 +24,6 @@ from repro.entropy.huffman import (
 from repro.fastpath.huffman_kernel import decode_blocks_fast
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
-from repro.resilience.frame import block_payload
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -95,7 +94,7 @@ class ByteHuffmanCodec:
         counts = [image.original_block_size(i) for i in indices]
         with decode_guard("byte_huffman.decompress_blocks"):
             code = image.metadata["code"]
-            payloads = [block_payload(image, index) for index in indices]
+            payloads = [image.blocks[index] for index in indices]
             decoded = decode_blocks_fast(code, payloads, counts)
         if decoded is not None:
             return decoded
@@ -106,7 +105,7 @@ class ByteHuffmanCodec:
         count = image.original_block_size(block_index)
         with decode_guard("byte_huffman.decompress_block"):
             decoder = HuffmanDecoder(image.metadata["code"])
-            symbols = decoder.decode(block_payload(image, block_index), count)
+            symbols = decoder.decode(image.blocks[block_index], count)
             # bytes() rejects symbols outside [0, 255] — a corrupted table
             # can decode such a symbol, so keep the conversion guarded.
             return bytes(symbols)

@@ -25,7 +25,6 @@ from repro.entropy.huffman import (
     build_code,
 )
 from repro.resilience.errors import decode_guard
-from repro.resilience.frame import block_payload
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -96,7 +95,7 @@ class PositionalHuffmanCodec:
             # CorruptedStreamError, never a low-level exception.
             tables: List[HuffmanCode] = image.metadata["positional_tables"]
             decoders = [HuffmanDecoder(table) for table in tables]
-            reader = BitReader(block_payload(image, block_index))
+            reader = BitReader(image.blocks[block_index])
             out = bytearray()
             for index in range(count):
                 out.append(

@@ -22,6 +22,7 @@ from repro.core.serialize import (
     save_image,
     serialize_image,
 )
+from repro.resilience.errors import decode_guard
 
 
 def block_codec(image: CompressedImage):
@@ -31,16 +32,24 @@ def block_codec(image: CompressedImage):
     and ``decompress_blocks``.  Build it once per image and reuse it:
     the refill engine's fetch port decodes every miss through one.
     Raises :class:`ValueError` for an algorithm or SADC ISA this package
-    does not produce.
+    does not produce, and :class:`CorruptedStreamError` for metadata
+    the codec needs but the image lacks or holds malformed.
     """
-    if image.algorithm == "SAMC":
-        return SamcCodec(
-            word_bits=image.metadata["word_bits"],
-            streams=[spec.positions for spec in image.metadata["streams"]],
-            connect_bits=image.metadata["connect_bits"],
-            block_size=image.block_size,
-            probability_mode=image.metadata["probability_mode"],
-        )
+    with decode_guard("core.block_codec"):
+        if image.algorithm == "SAMC":
+            return SamcCodec(
+                word_bits=image.metadata["word_bits"],
+                streams=[spec.positions for spec in image.metadata["streams"]],
+                connect_bits=image.metadata["connect_bits"],
+                block_size=image.block_size,
+                probability_mode=image.metadata["probability_mode"],
+            )
+        if image.algorithm == "positional-huffman":
+            from repro.baselines.positional_huffman import PositionalHuffmanCodec
+
+            return PositionalHuffmanCodec(
+                image.block_size, image.metadata["word_bytes"]
+            )
     if image.algorithm == "SADC":
         isa = image.metadata.get("isa")
         if isa == "mips":
@@ -52,12 +61,6 @@ def block_codec(image: CompressedImage):
         from repro.baselines.byte_huffman import ByteHuffmanCodec
 
         return ByteHuffmanCodec(image.block_size)
-    if image.algorithm == "positional-huffman":
-        from repro.baselines.positional_huffman import PositionalHuffmanCodec
-
-        return PositionalHuffmanCodec(
-            image.block_size, image.metadata["word_bytes"]
-        )
     raise ValueError(f"unknown algorithm {image.algorithm!r}")
 
 

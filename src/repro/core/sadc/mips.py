@@ -87,7 +87,6 @@ from repro.resilience.errors import (
     CorruptedStreamError,
     decode_guard,
 )
-from repro.resilience.frame import block_payload
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -908,7 +907,7 @@ class MipsSadcCodec:
         for block_index in indices:
             expected = image.original_block_size(block_index) // 4
             with decode_guard("sadc.mips.decompress_block"):
-                reader = BitReader(block_payload(image, block_index), pad=False)
+                reader = BitReader(image.blocks[block_index], pad=False)
                 out.append(self._decode_words(
                     reader, dictionary, decoders, expected, block_index
                 ))

@@ -40,7 +40,6 @@ from repro.resilience.errors import (
     CorruptedStreamError,
     decode_guard,
 )
-from repro.resilience.frame import block_payload
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -334,7 +333,7 @@ class X86SadcCodec:
                     f"for a {image.block_size}-byte block",
                     category=CATEGORY_BUDGET,
                 )
-            reader = BitReader(block_payload(image, block_index))
+            reader = BitReader(image.blocks[block_index])
             token_decoder = HuffmanDecoder(codes["tokens"])
             modrm_decoder = HuffmanDecoder(codes["modrm_sib"])
             imm_decoder = HuffmanDecoder(codes["imm_disp"])

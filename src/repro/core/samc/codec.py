@@ -10,9 +10,10 @@ Two-pass semiadaptive scheme:
    boundary, so the refill engine can decompress any block given only
    its LAT offset.
 
-Both passes, and decoding, run on the compiled kernels of
-:mod:`repro.fastpath.samc_kernel`; :meth:`SamcCodec.compress` computes
-the walk once and hands it to both.  The bit-at-a-time reference they
+Training (:func:`repro.core.samc.model.train_model`) builds the model
+directly; encoding and decoding run on its kernels in
+:mod:`repro.fastpath.samc_kernel`.  :meth:`SamcCodec.compress` computes
+the walk once and hands it to both passes.  The bit-at-a-time reference they
 are pinned to, the paper's walk and coder as written, lives in
 ``tests/oracles.py``.
 
@@ -30,12 +31,11 @@ import numpy as np
 
 from repro.bitstream.fields import word_array, words_to_bytes
 from repro.core.lat import CompressedImage
-from repro.core.samc.model import SamcModel
+from repro.core.samc.model import SamcModel, train_model
 from repro.core.samc.streams import contiguous_streams, optimize_streams
 import repro.fastpath.samc_kernel as samc_kernel
 from repro.obs import get_recorder
 from repro.resilience.errors import decode_guard
-from repro.resilience.frame import block_payload
 from repro.entropy.arith import (
     quantize_power_of_two,
     quantize_probability,
@@ -134,13 +134,13 @@ class SamcCodec:
         return PROBABILITY_BITS[self.probability_mode]
 
     def train(self, code: bytes) -> SamcModel:
-        """First pass: build and freeze the Markov model for a program."""
+        """First pass: build the Markov model for a program."""
         return self._train(word_array(code, self.word_bytes))[0]
 
     def _train(
         self, words: np.ndarray
     ) -> Tuple[SamcModel, samc_kernel.SamcWalk]:
-        """Train and freeze a model; return it with the walk it counted."""
+        """Train a model; return it with the walk it counted."""
         streams = self.streams
         if self.optimize:
             streams, _entropy = optimize_streams(
@@ -150,13 +150,14 @@ class SamcCodec:
                 iterations=self.optimize_iterations,
                 initial=self.streams,
             )
-        model = SamcModel(self.word_bits, streams, self.connect_bits)
-        walk = samc_kernel.walk_program(
-            model, words, self.block_size // self.word_bytes
+        return train_model(
+            self.word_bits,
+            streams,
+            self.connect_bits,
+            words,
+            self.block_size // self.word_bytes,
+            self._quantizer(),
         )
-        samc_kernel.train_model_fast(model, walk)
-        model.freeze(self._quantizer())
-        return model, walk
 
     def compress(self, code: bytes) -> CompressedImage:
         """Compress a code image into independently decodable blocks.
@@ -174,19 +175,16 @@ class SamcCodec:
     def compress_with_model(
         self, code: bytes, model: SamcModel
     ) -> CompressedImage:
-        """Compress ``code`` against an already-trained, frozen model.
+        """Compress ``code`` against an already-trained model.
 
         This is the warm-model entry point: a long-lived service trains
-        the two-pass model once (:meth:`train`), freezes it, and reuses
-        it across requests — only the encode pass runs per call.  The
-        model must be frozen and built for this codec's word width; it
-        is only consulted, never mutated, so one model may be shared by
-        concurrent encodes.  ``compress(code)`` is exactly
-        ``compress_with_model(code, train(code))``.
+        the two-pass model once (:meth:`train`) and reuses it across
+        requests — only the encode pass runs per call.  The model must
+        be built for this codec's word width; it is immutable, so one
+        model may be shared by concurrent encodes.  ``compress(code)``
+        is exactly ``compress_with_model(code, train(code))``.
         """
         self._check_word_aligned(code)
-        if not model.frozen:
-            raise ValueError("model must be frozen before encoding")
         if model.width != self.word_bits:
             raise ValueError(
                 f"model is for {model.width}-bit words, codec expects "
@@ -205,11 +203,13 @@ class SamcCodec:
         with rec.span("samc.encode"):
             if walk is None:
                 walk = samc_kernel.walk_program(
-                    model,
+                    model.width,
+                    model.specs,
+                    model.connect_bits,
                     word_array(code, self.word_bytes),
                     self.block_size // self.word_bytes,
                 )
-            blocks = samc_kernel.compiled_model(model).encode_blocks(walk)
+            blocks = model.encode_blocks(walk)
         image = CompressedImage(
             algorithm="SAMC",
             original_size=len(code),
@@ -247,8 +247,8 @@ class SamcCodec:
 
         The semantics are exactly the per-block loop —
         ``[decompress_block(image, i) for i in indices]``.  The whole
-        batch goes to the compiled kernel's
-        :meth:`~repro.fastpath.samc_kernel.CompiledSamcModel.decode_blocks`,
+        batch goes to the model's
+        :meth:`~repro.fastpath.samc_kernel.SamcModel.decode_blocks`,
         which runs the range decoder in lockstep across the batch (or
         falls back to the fused scalar loop below its batch threshold);
         output is byte-identical either way, and equal to the reference
@@ -259,7 +259,6 @@ class SamcCodec:
         indices = list(indices)
         if not indices:
             return []
-        model: SamcModel = image.metadata["model"]
         word_counts = [
             image.original_block_size(index) // self.word_bytes
             for index in indices
@@ -267,9 +266,8 @@ class SamcCodec:
         rec = get_recorder()
         with rec.span("samc.decode_batch", blocks=len(indices)), \
                 decode_guard("samc.decompress_blocks"):
-            payloads = [block_payload(image, index) for index in indices]
-            batches = samc_kernel.compiled_model(model).decode_blocks(
-                payloads, word_counts
+            batches = image.metadata["model"].decode_blocks(
+                [image.blocks[index] for index in indices], word_counts
             )
         if rec.enabled:
             rec.count("samc.blocks_decoded", len(indices))
@@ -284,13 +282,12 @@ class SamcCodec:
         This is the refill-engine operation: only the block's own bytes
         (located via the LAT) and the shared model are consulted.
         """
-        model: SamcModel = image.metadata["model"]
         word_count = image.original_block_size(block_index) // self.word_bytes
         rec = get_recorder()
         with rec.span("samc.decode_block"), \
                 decode_guard("samc.decompress_block"):
-            words = samc_kernel.compiled_model(model).decode_block(
-                block_payload(image, block_index), word_count
+            words = image.metadata["model"].decode_block(
+                image.blocks[block_index], word_count
             )
         if rec.enabled:
             rec.count("samc.blocks_decoded")

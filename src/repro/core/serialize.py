@@ -128,56 +128,43 @@ class _Reader:
     def raw(self, count: int) -> bytes:
         return self._take(count)
 
-
-# -- probability coding -----------------------------------------------------
-
-def _encode_probability(writer: _Writer, q: int, mode: str) -> None:
-    if mode == "full":
-        writer.u8(q >> 8)
-    elif mode == "full16":
-        writer.u16(q)
-    else:  # pow2: 1 side bit + 5-bit exponent
-        half = 1 << 15
-        side = 1 if q > half else 0
-        lps = (1 << 16) - q if side else q
-        exponent = 16 - (lps.bit_length() - 1)
-        writer.u8((side << 7) | exponent)
-
-
-def _decode_probability(reader: _Reader, mode: str) -> int:
-    if mode == "full":
-        return reader.u8() << 8
-    if mode == "full16":
-        return reader.u16()
-    byte = reader.u8()
-    side = byte >> 7
-    lps = (1 << 16) >> (byte & 0x1F)
-    return ((1 << 16) - lps) if side else lps
+    def array(self, count: int, dtype) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, as one read-only array."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self._take(count * dtype.itemsize), dtype=dtype)
 
 
 # -- Huffman tables -----------------------------------------------------------
 
+#: One Huffman table record: a symbol and its code length.
+_HUFFMAN_RECORD = np.dtype([("symbol", ">u4"), ("length", "u1")])
+
+
 def _write_huffman(writer: _Writer, code: HuffmanCode) -> None:
-    writer.u16(len(code.lengths))
-    for symbol in sorted(code.lengths):
-        writer.u32(symbol)
-        writer.u8(code.lengths[symbol])
+    symbols = sorted(code.lengths)
+    records = np.empty(len(symbols), dtype=_HUFFMAN_RECORD)
+    records["symbol"] = symbols
+    records["length"] = [code.lengths[symbol] for symbol in symbols]
+    writer.u16(len(symbols))
+    writer.raw(records.tobytes())
 
 
 def _read_huffman(reader: _Reader) -> HuffmanCode:
     count = reader.u16()
-    reader.check_budget(count, 5, "Huffman table")
-    lengths: Dict[int, int] = {}
-    for _ in range(count):
-        symbol = reader.u32()
-        length = reader.u8()
-        if length == 0:
-            raise SerializationError(
-                f"Huffman symbol {symbol} declares a zero-length codeword",
-                offset=reader.offset - 1,
-                category=CATEGORY_STRUCTURE,
-            )
-        lengths[symbol] = length
+    reader.check_budget(count, _HUFFMAN_RECORD.itemsize, "Huffman table")
+    start = reader.offset
+    records = reader.array(count, _HUFFMAN_RECORD)
+    symbols = records["symbol"].tolist()
+    zero = np.flatnonzero(records["length"] == 0)
+    if zero.size:
+        index = int(zero[0])
+        raise SerializationError(
+            f"Huffman symbol {symbols[index]} declares a zero-length codeword",
+            offset=start + index * _HUFFMAN_RECORD.itemsize + 4,
+            category=CATEGORY_STRUCTURE,
+        )
+    # A repeated symbol keeps its last length, as a dict insert does.
+    lengths = dict(zip(symbols, records["length"].tolist()))
     return HuffmanCode(lengths=lengths, codewords=canonical_codewords(lengths))
 
 
@@ -194,12 +181,43 @@ def _write_samc_model(writer: _Writer, image: CompressedImage) -> None:
         writer.u8(spec.k)
         for position in spec.positions:
             writer.u8(position)
-    for stream_model in model.stream_models:
-        table = stream_model.frozen_table
-        for context in range(stream_model.contexts):
-            for node in range(stream_model.node_count):
-                _encode_probability(writer, int(table[context, node]), mode)
+    for table in model.tables:
+        writer.raw(_encode_table(table, mode))
 
+
+#: ``2**0 .. 2**16``: a positive integer's bit length is the number of
+#: these at or below it.
+_POWERS_OF_TWO = 1 << np.arange(17)
+
+
+def _encode_table(table: np.ndarray, mode: str) -> bytes:
+    """One stream's probabilities as stored, in C (context, node) order.
+
+    ``full`` keeps a probability's high byte, ``full16`` all 16 bits,
+    and ``pow2`` a byte of the side bit (set when P(0) is the larger
+    side) and the exponent ``e`` of the smaller side's ``2**-e``.
+    """
+    if mode == "full":
+        return (table >> 8).astype(np.uint8).tobytes()
+    if mode == "full16":
+        return table.astype(">u2").tobytes()
+    side = table > (1 << 15)
+    lps = np.where(side, PROB_ONE - table, table)
+    # 16 - floor(log2(lps)), that is 17 - lps.bit_length().
+    exponent = 17 - np.searchsorted(_POWERS_OF_TWO, lps, side="right")
+    return ((side << 7) | exponent).astype(np.uint8).tobytes()
+
+
+def _decode_table(reader: _Reader, count: int, mode: str) -> np.ndarray:
+    """The next ``count`` stored probabilities (:func:`_encode_table`'s
+    inverse), as 16-bit P(0)."""
+    if mode == "full16":
+        return reader.array(count, ">u2").astype(np.int64)
+    stored = reader.array(count, np.uint8).astype(np.int64)
+    if mode == "full":
+        return stored << 8
+    lps = PROB_ONE >> (stored & 0x1F)
+    return np.where(stored >> 7, PROB_ONE - lps, lps)
 
 #: Bytes one stored probability occupies per coding mode.
 _PROB_MODE_BYTES = {"full": 1, "full16": 2, "pow2": 1}
@@ -253,25 +271,20 @@ def _read_samc_model(reader: _Reader) -> Tuple[SamcModel, str]:
     for stream in streams:
         nodes = (1 << len(stream)) - 1
         reader.check_budget(contexts * nodes, prob_bytes, "SAMC table")
-        table = np.zeros((contexts, nodes), dtype=np.int64)
-        for context in range(contexts):
-            for node in range(nodes):
-                table[context, node] = _decode_probability(reader, mode)
+        table = _decode_table(reader, contexts * nodes, mode)
         # A probability of 0 (or PROB_ONE) collapses one half of the
         # range coder's interval, which the decode loop would spin on
         # forever — reject untrusted tables here, at the boundary.
-        if table.size and (table.min() < 1 or table.max() > PROB_ONE - 1):
+        if table.min() < 1 or table.max() > PROB_ONE - 1:
             raise SerializationError(
                 "SAMC probability table holds values outside "
                 f"[1, {PROB_ONE - 1}]",
                 offset=reader.offset,
                 category=CATEGORY_STRUCTURE,
             )
-        tables.append(table)
+        tables.append(table.reshape(contexts, nodes))
     try:
-        model = SamcModel.from_frozen(width, streams, connect_bits, tables)
-    except CorruptedStreamError:
-        raise
+        model = SamcModel(width, streams, connect_bits, tables)
     except ValueError as error:  # bad stream partition, wrong table shape
         raise SerializationError(
             f"inconsistent SAMC model: {error}",
@@ -350,8 +363,7 @@ def _write_sadc_x86_model(writer: _Writer, image: CompressedImage) -> None:
         _write_huffman(writer, image.metadata["codes"][key])
     counts = image.metadata["block_instruction_counts"]
     writer.u32(len(counts))
-    for value in counts:
-        writer.u16(value)
+    writer.raw(np.asarray(counts, dtype=">u2").tobytes())
 
 
 def _read_sadc_x86_model(reader: _Reader):
@@ -374,7 +386,7 @@ def _read_sadc_x86_model(reader: _Reader):
     codes = {key: _read_huffman(reader) for key in _X86_CODE_KEYS}
     n_counts = reader.u32()
     reader.check_budget(n_counts, 2, "block instruction counts")
-    counts = [reader.u16() for _ in range(n_counts)]
+    counts = reader.array(n_counts, ">u2").tolist()
     return dictionary, codes, counts
 
 
@@ -410,11 +422,11 @@ def serialize_image(image: CompressedImage, framed: Optional[bool] = None) -> by
     writer.u32(image.original_size)
     writer.u16(image.block_size)
     writer.u32(image.model_bytes)
-    writer.u32(len(image.blocks))
-    for block in image.blocks:
-        if len(block) > 0xFFFF:
-            raise SerializationError("block payload exceeds format limit")
-        writer.u16(len(block))
+    sizes = [len(block) for block in image.blocks]
+    if sizes and max(sizes) > 0xFFFF:
+        raise SerializationError("block payload exceeds format limit")
+    writer.u32(len(sizes))
+    writer.raw(np.asarray(sizes, dtype=">u2").tobytes())
     if algo == ALGO_SAMC:
         _write_samc_model(writer, image)
     elif algo == ALGO_SADC_MIPS:
@@ -481,7 +493,7 @@ def _deserialize_archive(data: bytes) -> CompressedImage:
             f"at block size {block_size} require {expected_blocks}",
             category=CATEGORY_STRUCTURE,
         )
-    sizes = [reader.u16() for _ in range(n_blocks)]
+    sizes = reader.array(n_blocks, ">u2").tolist()
 
     if algo == ALGO_SAMC:
         model, mode = _read_samc_model(reader)

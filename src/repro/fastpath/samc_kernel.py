@@ -1,4 +1,11 @@
-"""Table-compiled SAMC kernels: vectorised training, fused coding loops.
+"""SAMC's probability memory, and the kernels that code against it.
+
+:class:`SamcModel` is the one SAMC model: the quantised left-branch
+probability of every node of every stream's Markov tree, one tree per
+connection context, validated once when the model is built, and the
+coders that index those tables.  Training
+(:func:`repro.core.samc.model.train_model`) and the archive reader
+(:mod:`repro.core.serialize`) both build it directly.
 
 The reference SAMC coder (``tests/oracles.py``) costs three Python
 calls and a numpy scalar index *per coded bit*: a step of the walk, a
@@ -8,20 +15,19 @@ path the codec runs, removes all of it:
 * **The walk** (:func:`walk_program`) — the Markov walk is fully
   determined by the data, so every coded bit and the table cell that
   predicts it (a ``(context, node)`` entry) are computed for the *whole
-  program at once* with numpy array arithmetic.  A compress walks once:
+  program at once* with numpy array arithmetic.  It reads only the
+  stream layout, so a compress walks once, before its model exists:
   training counts the walk and encoding codes the same one.
-* **Training** (:func:`train_model_fast`) — one :func:`numpy.bincount`
-  over the walk's cells fills every stream's count table.
-* **Encoding** (:meth:`CompiledSamcModel.encode_blocks`) — the per-bit
+* **Encoding** (:meth:`SamcModel.encode_blocks`) — the per-bit
   quantised probabilities are one gather from the stream tables laid end
-  to end (laid out on the first encode, so a model compiled only to
-  decode never holds that copy), and one ``numpy.where`` signs them:
-  ``p0`` for a 0-bit, ``-p0`` for a 1-bit.  Each block's span of that one list runs a single tight
-  Python loop of the carry-less range coder, whose split's sign is the
-  bit, appending renormalisation bytes straight into a ``bytearray``.
-  The final flush is the *same function* the reference encoder uses
-  (:func:`repro.entropy.arith.flush_interval`).
-* **Decoding** (:meth:`CompiledSamcModel.decode_block`) — inherently
+  to end (laid out on the first encode, so a model that only decodes
+  never holds that copy), and one ``numpy.where`` signs them: ``p0``
+  for a 0-bit, ``-p0`` for a 1-bit.  Each block's span of that one list
+  runs a single tight Python loop of the carry-less range coder, whose
+  split's sign is the bit, appending renormalisation bytes straight into
+  a ``bytearray``.  The final flush is the *same function* the reference
+  encoder uses (:func:`repro.entropy.arith.flush_interval`).
+* **Decoding** (:meth:`SamcModel.decode_block`) — inherently
   sequential (each decoded bit steers the walk), so the win comes from
   spending fewer Python operations per coded bit.  The range decoder is
   inlined and keeps ``D = (code - low) mod 2**32`` instead of the code
@@ -30,8 +36,8 @@ path the codec runs, removes all of it:
   bits and the next context; and the renormalisation loop is entered
   only while ``rng < 2**24``, the one range in which it can shift.  No
   attribute lookups or method calls per bit, and the tables are built
-  on the first decode, so compiling a model for encoding stays cheap.
-* **Batch decoding** (:meth:`CompiledSamcModel.decode_blocks`) — blocks
+  on the first decode, so a model that only encodes never builds them.
+* **Batch decoding** (:meth:`SamcModel.decode_blocks`) — blocks
   are independent by construction (coder state, Markov context, and tree
   pointers all reset at block boundaries), and every block follows the
   *same* (stream, depth) bit schedule; only the per-block coder state
@@ -43,7 +49,7 @@ path the codec runs, removes all of it:
   shift their coder registers, so every block's state trajectory is
   bit-for-bit the trajectory the scalar loop would have produced — which
   is why the batch path is byte-identical, not merely equivalent.
-* **Batch encoding** (:meth:`CompiledSamcModel.encode_blocks` above a
+* **Batch encoding** (:meth:`SamcModel.encode_blocks` above a
   batch threshold) — the same lockstep structure in reverse: the walk's
   bit matrix and the gathered probability matrix are transposed to
   bit-major order and all blocks' range coders advance together, with
@@ -67,19 +73,20 @@ differential tests pin it.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.entropy.arith import PROB_BITS, flush_interval
-from repro.core.samc.model import SamcModel
+from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_interval
 from repro.obs import get_recorder
+from repro.resilience.errors import CATEGORY_STRUCTURE, CorruptedStreamError
 
 _MASK = 0xFFFFFFFF
 _TOP = 1 << 24
 _BOT = 1 << 16
 
-#: Batch size from which :meth:`CompiledSamcModel.decode_blocks` runs the
+#: Batch size from which :meth:`SamcModel.decode_blocks` runs the
 #: lockstep decoder (each numpy call costs ~1µs regardless of batch
 #: size, so the vectorised step only amortises over enough blocks).  It
 #: sits below the measured decode crossover, ~150–190 blocks, so that
@@ -87,7 +94,7 @@ _BOT = 1 << 16
 #: threshold").
 DEFAULT_BATCH_MIN = 96
 
-#: Measured crossover from which :meth:`CompiledSamcModel.encode_blocks`
+#: Measured crossover from which :meth:`SamcModel.encode_blocks`
 #: runs the lockstep encoder instead of the signed scalar loop.
 DEFAULT_ENCODE_BATCH_MIN = 224
 
@@ -115,6 +122,39 @@ def batch_min(default: int = DEFAULT_BATCH_MIN) -> int:
         return default
 
 
+@dataclass(frozen=True)
+class StreamSpec:
+    """One stream: the MSB-first bit positions it covers in the word."""
+
+    positions: Tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.positions)
+
+
+def stream_specs(
+    width: int, streams: Sequence[Sequence[int]], connect_bits: int
+) -> List[StreamSpec]:
+    """The layout of a ``width``-bit word's streams, checked.
+
+    The streams must partition the word's bit positions, each covering
+    at least one bit, and ``connect_bits`` must be non-negative; a
+    ``ValueError`` says which rule failed.
+    """
+    if connect_bits < 0:
+        raise ValueError("connect_bits must be non-negative")
+    covered = sorted(pos for stream in streams for pos in stream)
+    if covered != list(range(width)):
+        raise ValueError(
+            f"streams must partition bit positions 0..{width - 1}, got {covered}"
+        )
+    specs = [StreamSpec(tuple(stream)) for stream in streams]
+    if any(spec.k == 0 for spec in specs):
+        raise ValueError("stream must cover at least one bit")
+    return specs
+
+
 class SamcWalk(NamedTuple):
     """A program's Markov walk: every coded bit and the cell predicting it.
 
@@ -134,20 +174,22 @@ class SamcWalk(NamedTuple):
 
 
 def walk_program(
-    model: SamcModel, words: Sequence[int], words_per_block: int
+    width: int,
+    specs: Sequence[StreamSpec],
+    connect_bits: int,
+    words: Sequence[int],
+    words_per_block: int,
 ) -> SamcWalk:
     """Vectorised Markov walk over a whole program.
 
-    Only ``model``'s layout (``width``, ``specs`` and ``connect_bits``)
-    is read, so a model can be walked before it is trained.  The walk
-    visits exactly the (context, node, bit) triples of the reference
-    walk (``tests/oracles.py``), with the context reset at every
-    cache-block boundary.  Each stream's bits are read as one integer
-    ``value``; the prefix before depth ``d`` is ``value >> (k - d)``,
-    and the value's low ``connect_bits`` bits are the next stream's
-    context.
+    Only the stream layout is read, so a program is walked before its
+    model is trained.  The walk visits exactly the (context, node, bit)
+    triples of the reference walk (``tests/oracles.py``), with the
+    context reset at every cache-block boundary.  Each stream's bits are
+    read as one integer ``value``; the prefix before depth ``d`` is
+    ``value >> (k - d)``, and the value's low ``connect_bits`` bits are
+    the next stream's context.
     """
-    width, specs, connect_bits = model.width, model.specs, model.connect_bits
     arr = np.asarray(words, dtype=np.int64)
     ks = np.array([spec.k for spec in specs], dtype=np.int64)
     stream = np.repeat(np.arange(len(specs)), ks)  # column -> stream
@@ -174,28 +216,6 @@ def walk_program(
     return SamcWalk(bits, cells, words_per_block)
 
 
-def train_model_fast(model: SamcModel, walk: SamcWalk) -> None:
-    """Accumulate all training counts of ``walk`` into ``model``.
-
-    Bit-identical to the per-block reference trainer
-    (``tests/oracles.py``): the same (context, node, bit) events are
-    counted, just via one bincount over the whole walk instead of one
-    numpy scalar ``+=`` per bit.
-    """
-    sizes = [sm.contexts * sm.node_count for sm in model.stream_models]
-    counts = np.bincount(
-        (walk.cells * 2 + walk.bits).ravel(), minlength=2 * sum(sizes)
-    )
-    start = 0
-    for stream_model, size in zip(model.stream_models, sizes):
-        stream_model.observe_counts(
-            counts[start : start + 2 * size].reshape(
-                stream_model.contexts, stream_model.node_count, 2
-            )
-        )
-        start += 2 * size
-
-
 def _deposit_table(shifts: Sequence[int]) -> List[int]:
     """Prefix → word bits for one stream.
 
@@ -210,49 +230,72 @@ def _deposit_table(shifts: Sequence[int]) -> List[int]:
     return table
 
 
-class CompiledSamcModel:
-    """A frozen :class:`SamcModel` compiled to integer tables.
+class SamcModel:
+    """The complete per-program SAMC model, and its coders.
 
-    Construction validates every stream's quantised-probability table
-    and precomputes the bit-placement shifts and context masks; the
-    coders' tables are built from them on first use, so compiling a
-    model for one direction builds nothing the other needs.
-    Quantisation happened once at freeze time; nothing here ever
-    re-quantises.
+    Parameters
+    ----------
+    width:
+        Instruction width in bits (32 for MIPS, 8 for byte-oriented x86).
+    streams:
+        Bit-position groups.  Together they must cover every position of
+        the word exactly once (a partition), in coding order.
+    connect_bits:
+        How many trailing bits of the previous stream select the tree
+        replica of the next stream (0 disables connection — independent
+        trees, the Figure 3 baseline).
+    tables:
+        Per stream, its ``(1 << connect_bits, 2**k - 1)`` table of
+        quantised P(0), one row per context, indexed by heap node.
+
+    Construction checks the partition and every table's shape
+    (``ValueError``), and that every probability lies in ``[1,
+    PROB_ONE - 1]``: a 0 or ``PROB_ONE`` collapses one side of the range
+    coder's split, and the decoder's renormalisation loop would spin
+    forever on it, so such a table raises a ``structure``
+    :class:`CorruptedStreamError`.  The tables are kept read-only, so a
+    model is immutable and safe to share across threads and requests.
+    Each direction's coder tables are built on its first use, so a model
+    that only encodes (or only decodes) never builds the other's.
     """
 
-    def __init__(self, model: SamcModel) -> None:
-        self.width = model.width
-        self.connect_bits = model.connect_bits
-        self.specs = model.specs
-        self._tables = [sm.frozen_table for sm in model.stream_models]
-        prob_one = 1 << PROB_BITS
-        for table in self._tables:
-            # A probability of 0 (or PROB_ONE) collapses the range
-            # coder's split to nothing and the decode renormalisation
-            # loop would never terminate; tables reaching this point
-            # from deserialisation are untrusted, so reject here.
-            if table.size and not (
-                1 <= table.min() and table.max() <= prob_one - 1
-            ):
-                from repro.resilience.errors import (
-                    CATEGORY_STRUCTURE,
-                    CorruptedStreamError,
-                )
-
+    def __init__(
+        self,
+        width: int,
+        streams: Sequence[Sequence[int]],
+        connect_bits: int,
+        tables: Sequence[np.ndarray],
+    ) -> None:
+        specs = stream_specs(width, streams, connect_bits)
+        if len(tables) != len(specs):
+            raise ValueError("one table per stream required")
+        contexts = 1 << connect_bits
+        held = []
+        for spec, table in zip(specs, tables):
+            table = np.array(table, dtype=np.int64)
+            shape = (contexts, (1 << spec.k) - 1)
+            if table.shape != shape:
+                raise ValueError(f"table shape {table.shape} != {shape}")
+            table.setflags(write=False)
+            held.append(table)
+        for table in held:
+            if table.min() < 1 or table.max() > PROB_ONE - 1:
                 raise CorruptedStreamError(
-                    "compiled SAMC table holds probabilities outside "
-                    f"[1, {prob_one - 1}]",
+                    "SAMC table holds probabilities outside "
+                    f"[1, {PROB_ONE - 1}]",
                     category=CATEGORY_STRUCTURE,
                 )
+        self.width = width
+        self.connect_bits = connect_bits
+        self.specs = specs
+        self.tables = held
         #: Per stream: bit-placement shifts and next-context mask.
         self._streams = [
             (
-                tuple(model.width - 1 - p for p in spec.positions),
-                (1 << min(model.connect_bits, spec.k)) - 1
-                if model.connect_bits else 0,
+                tuple(width - 1 - p for p in spec.positions),
+                (1 << min(connect_bits, spec.k)) - 1 if connect_bits else 0,
             )
-            for spec in model.specs
+            for spec in specs
         ]
         # Coder tables are built lazily: the encoder's on the first
         # encode_blocks, the scalar decoder's on the first decode_block,
@@ -261,12 +304,28 @@ class CompiledSamcModel:
         self._decode_streams: Optional[list] = None
         self._batch_streams: Optional[list] = None
 
+    # -- storage accounting ---------------------------------------------
+
+    def probability_count(self) -> int:
+        """Stored probabilities across all trees and replicas."""
+        return sum(table.size for table in self.tables)
+
+    def storage_bits(self, bits_per_probability: int = 16) -> int:
+        """Model table size: probabilities plus the stream position map."""
+        position_map_bits = self.width * max(1, (self.width - 1).bit_length())
+        return self.probability_count() * bits_per_probability + position_map_bits
+
+    def storage_bytes(self, bits_per_probability: int = 16) -> int:
+        return (self.storage_bits(bits_per_probability) + 7) // 8
+
+    # -- coder tables ---------------------------------------------------
+
     def _compile_encode(self) -> np.ndarray:
         """Every stream's table laid end to end, which a walk's cells
         index (cached)."""
         if self._flat_tables is None:
             self._flat_tables = np.concatenate(
-                [table.ravel() for table in self._tables]
+                [table.ravel() for table in self.tables]
             )
         return self._flat_tables
 
@@ -281,7 +340,7 @@ class CompiledSamcModel:
         """
         if self._decode_streams is None:
             compiled = []
-            for table, (shifts, ctx_mask) in zip(self._tables, self._streams):
+            for table, (shifts, ctx_mask) in zip(self.tables, self._streams):
                 deposit = _deposit_table(shifts)
                 internal = [0] * (len(deposit) - 1)
                 compiled.append((
@@ -309,7 +368,7 @@ class CompiledSamcModel:
             return None
         compiled = []
         for table, (shifts, ctx_mask), (_, _, leaf_word, _) in zip(
-            self._tables, self._streams, self._compile_decode()
+            self.tables, self._streams, self._compile_decode()
         ):
             k = len(shifts)
             flat = table.ravel()
@@ -715,7 +774,7 @@ def _encode_span(signed: List[int]) -> bytes:
     so one multiply gives the reference encoder's split with its sign
     (``tests/oracles.py``): ``split = (rng >> PROB_BITS) * q`` is
     positive exactly for a 0-bit.  It is never zero:
-    :class:`CompiledSamcModel` admits only probabilities in ``[1,
+    :class:`SamcModel` admits only probabilities in ``[1,
     PROB_ONE - 1]``, and ``rng >> 16 >= 1`` at every bit, because the
     range starts at ``2**32 - 1`` and the renormalisation loop exits
     only with ``rng >= 2**16`` (at ``2**24`` or above, or on the
@@ -727,7 +786,7 @@ def _encode_span(signed: List[int]) -> bytes:
     ``bytearray``, and the block ends with the shared
     :func:`flush_interval`, so the payload matches the reference encoder
     byte for byte.  The encoder's (low, rng) trajectory is the one
-    :meth:`CompiledSamcModel.decode_block` walks, so its proof holds
+    :meth:`SamcModel.decode_block` walks, so its proof holds
     here: ``low + rng <= 2**32`` throughout, and renormalisation can
     only shift while ``rng < 2**24``.  Hence the loop is entered only
     there, and neither ``low - split``, ``low >> 24`` nor ``rng << 8``
@@ -798,17 +857,3 @@ def _encode_span_obs(
     coded = len(out)
     flush_interval(low, rng, out)
     return bytes(out), (len(out) - coded) * 8
-
-
-def compiled_model(model: SamcModel) -> CompiledSamcModel:
-    """Compile ``model`` once and cache the result on the instance.
-
-    Random-access block decompression calls this per refill; the cache
-    makes repeat compilation free while keying on the model object
-    itself, so a retrained model can never serve stale tables.
-    """
-    cached = getattr(model, "_fastpath_compiled", None)
-    if cached is None:
-        cached = CompiledSamcModel(model)
-        model._fastpath_compiled = cached
-    return cached

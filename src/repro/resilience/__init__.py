@@ -8,7 +8,7 @@ package supplies the three pieces the rest of the repo builds on:
   + category) and :class:`decode_guard`, the guaranteed-termination
   boundary every decoder wraps its body in.
 * :mod:`repro.resilience.frame` — the opt-in ``RF01`` CRC-32 container
-  (``REPRO_FRAMED=1``) for serialised archives and per-block payloads;
+  (``REPRO_FRAMED=1``) for serialised archives and service messages;
   the only way to *detect* corruption a statistical decoder would
   silently absorb.
 * :mod:`repro.resilience.inject` / :mod:`repro.resilience.fuzz` — seeded
@@ -20,8 +20,6 @@ package supplies the three pieces the rest of the repo builds on:
 from repro.resilience.errors import CorruptedStreamError, decode_guard
 from repro.resilience.frame import (
     FRAME_OVERHEAD,
-    block_payload,
-    frame_image,
     framing_enabled,
     is_framed,
     unwrap_frame,
@@ -31,9 +29,7 @@ from repro.resilience.frame import (
 __all__ = [
     "CorruptedStreamError",
     "FRAME_OVERHEAD",
-    "block_payload",
     "decode_guard",
-    "frame_image",
     "framing_enabled",
     "is_framed",
     "unwrap_frame",

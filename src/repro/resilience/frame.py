@@ -15,8 +15,8 @@ Framing is **opt-in** (``REPRO_FRAMED=1`` or explicit ``framed=True``
 arguments): raw codec outputs and the golden vectors stay byte-identical
 when it is off.  The serializer frames whole archives (14 bytes on a
 multi-kilobyte image keeps container overhead far under the 2% budget —
-pinned by ``benchmarks/test_frame_overhead.py``); per-block framing is
-available for the refill path via :func:`frame_image`.
+pinned by ``benchmarks/test_frame_overhead.py``); the service frames
+its replies (:mod:`repro.service.protocol`).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import List
-
 from repro.resilience.errors import (
     CATEGORY_CHECKSUM,
     CATEGORY_MAGIC,
@@ -123,52 +121,12 @@ def unwrap_frame(data: bytes) -> bytes:
     return payload
 
 
-# -- per-block framing for CompressedImage ----------------------------------
-
-def frame_image(image) -> "object":
-    """Return a copy of ``image`` whose payload blocks are each framed.
-
-    The copy is marked with ``metadata["framed"] = True`` so
-    :func:`block_payload` (used by every block decoder) knows to unwrap.
-    The original image is untouched.
-    """
-    from repro.core.lat import CompressedImage
-
-    framed_blocks: List[bytes] = [wrap_frame(block) for block in image.blocks]
-    metadata = dict(image.metadata)
-    metadata["framed"] = True
-    return CompressedImage(
-        algorithm=image.algorithm,
-        original_size=image.original_size,
-        block_size=image.block_size,
-        blocks=framed_blocks,
-        model_bytes=image.model_bytes,
-        metadata=metadata,
-    )
-
-
-# repro: contract decode-entry
-def block_payload(image, block_index: int) -> bytes:
-    """One block's raw codec bytes, unwrapping the frame when present.
-
-    This is the single access path the block decoders use; on a framed
-    image every read re-validates the block's CRC, so a corrupted block
-    fails with ``CorruptedStreamError`` instead of decoding to garbage.
-    """
-    payload = image.blocks[block_index]
-    if image.metadata.get("framed"):
-        return unwrap_frame(payload)
-    return payload
-
-
 __all__ = [
     "FRAMED_ENV",
     "FRAME_HEADER_BYTES",
     "FRAME_MAGIC",
     "FRAME_OVERHEAD",
     "FRAME_VERSION",
-    "block_payload",
-    "frame_image",
     "framing_enabled",
     "is_framed",
     "unwrap_frame",

@@ -1,7 +1,7 @@
 """Layer 1: semantic verifiers over codec artifacts.
 
 Every check takes a *constructed artifact* — a Huffman table, a SADC
-dictionary, a frozen SAMC model, a bit-field layout — and returns
+dictionary, a SAMC model, a bit-field layout — and returns
 :class:`~repro.verify.Finding` records for each violated invariant:
 
 * ``huffman-prefix`` / ``huffman-kraft`` — the table must be a
@@ -14,10 +14,9 @@ dictionary, a frozen SAMC model, a bit-field layout — and returns
   entries may match identically (else index assignment is arbitrary
   and encoder/decoder tables can disagree), and entry bindings must
   reference operands the opcode actually encodes.
-* ``samc-distribution`` / ``samc-unreachable`` — every stored
-  quantised P(0) must leave both branches non-zero probability mass
-  (a 0 or ``PROB_ONE`` makes one bit value uncodable), and no tree
-  replica may be unreachable given the connection order.
+* ``samc-unreachable`` — no tree replica may be unreachable given the
+  connection order.  (Every stored probability leaving both branches
+  non-zero mass is the model's own construction check.)
 * ``field-tiling`` — each instruction-format layout must partition its
   word exactly: no overlapping fields, no uncovered bits.
 
@@ -34,7 +33,6 @@ from repro.bitstream.fields import deposit_bits
 from repro.core.sadc.entry import DictEntry, Dictionary
 from repro.core.sadc.x86 import X86Dictionary
 from repro.core.samc.model import SamcModel
-from repro.entropy.arith import PROB_ONE
 from repro.entropy.huffman import (
     HuffmanCode,
     find_prefix_violation,
@@ -275,52 +273,23 @@ def check_samc_model(
     file: str = _SAMC_FILE,
     line: int = 1,
 ) -> List[Finding]:
-    """Well-formedness of a frozen SAMC model.
+    """Every tree replica of a SAMC model must be reachable under the
+    connection order.
 
-    Every quantised P(0) must lie strictly inside ``(0, PROB_ONE)`` so
-    both interval halves stay non-empty (the distribution over {0, 1}
-    genuinely sums to one with positive mass on each side), and every
-    tree replica must be reachable under the connection order.
+    The model itself refuses a probability that leaves either bit value
+    without mass, so no per-cell check is needed here.
     """
     findings: List[Finding] = []
     specs = model.specs
-    for stream_index, stream_model in enumerate(model.stream_models):
-        table = stream_model.frozen_table
-        if table.size == 0:
-            findings.append(Finding(
-                rule="samc-distribution",
-                severity=SEVERITY_ERROR,
-                file=file,
-                line=line,
-                message=f"{origin}: stream {stream_index} has no frozen "
-                        "probability table",
-            ))
-            continue
-        for context in range(stream_model.contexts):
-            for node in range(stream_model.node_count):
-                p0_q = int(table[context, node])
-                if not 1 <= p0_q <= PROB_ONE - 1:
-                    side = "0" if p0_q <= 0 else "1"
-                    findings.append(Finding(
-                        rule="samc-distribution",
-                        severity=SEVERITY_ERROR,
-                        file=file,
-                        line=line,
-                        message=(
-                            f"{origin}: stream {stream_index} context "
-                            f"{context} node {node}: quantised P(0)={p0_q} "
-                            f"leaves bit value {side} with zero probability "
-                            "mass — that bit value is uncodable"
-                        ),
-                    ))
+    contexts = 1 << model.connect_bits
+    for stream_index in range(len(specs)):
         # Reachability: the context replica of stream i is selected by
         # the trailing connect_bits of the *previous* stream (the last
         # stream of the previous word for stream 0), masked to that
         # stream's width.  Replicas beyond the reachable count are dead
         # storage the decoder table pays for.
-        previous_k = specs[stream_index - 1].k if specs else 0
-        reachable = 1 << min(model.connect_bits, previous_k)
-        if stream_model.contexts > reachable:
+        reachable = 1 << min(model.connect_bits, specs[stream_index - 1].k)
+        if contexts > reachable:
             findings.append(Finding(
                 rule="samc-unreachable",
                 severity=SEVERITY_WARNING,
@@ -328,9 +297,9 @@ def check_samc_model(
                 line=line,
                 message=(
                     f"{origin}: stream {stream_index} stores "
-                    f"{stream_model.contexts} tree replicas but only "
+                    f"{contexts} tree replicas but only "
                     f"{reachable} contexts are reachable — "
-                    f"{stream_model.contexts - reachable} replicas are "
+                    f"{contexts - reachable} replicas are "
                     "dead decoder storage"
                 ),
             ))

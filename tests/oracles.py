@@ -8,13 +8,16 @@ vectors, hypothesis differentials and the benchmark identity checks
 call these functions directly and compare with production.
 
 * **SAMC** (Section 3).  :func:`train_block` replays the per-block
-  Markov walk, one :func:`observe` per bit; :func:`walk_encode` and
-  :func:`walk_decode` ask the frozen trees for each bit's prediction
-  (:func:`p0_quantized`).  :class:`BinaryArithmeticEncoder` and
+  Markov walk into :class:`MarkovCounts`, one :func:`observe` per bit,
+  and :meth:`MarkovCounts.freeze` quantises each cell's KT estimate on
+  its own; :func:`walk_encode` and :func:`walk_decode` ask the model's
+  tables for each bit's prediction (:func:`p0_quantized`).  :class:`BinaryArithmeticEncoder` and
   :class:`BinaryArithmeticDecoder` are the carry-less range coder, one
   method call per bit.  :func:`_encode_reference` is the whole encoder,
   with the per-``(stream, depth)`` bit accounting of
   :func:`_counting_emit` when telemetry is on.
+  :func:`encode_probability` and :func:`decode_probability` store one
+  probability of an archive's tables.
 * **LZSS** -- :func:`_tokenize_reference`, a hash-chain parse over byte
   strings.
 * **LZW** -- :func:`_lzw_compress_reference`, a dictionary of byte
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.baselines.lzss import (
     MAX_CHAIN,
     MAX_MATCH,
@@ -42,12 +47,17 @@ from repro.baselines.lzss import (
 from repro.baselines.lzw import CLEAR_CODE, FIRST_CODE, MAX_BITS, MIN_BITS
 from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.bitstream.io import BitReader, BitWriter
-from repro.core.samc.model import SamcModel, StreamModel, node_index
-from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_interval
+from repro.core.samc.model import Quantizer, SamcModel, node_index
+from repro.entropy.arith import (
+    PROB_BITS,
+    PROB_ONE,
+    flush_interval,
+    quantize_probability,
+)
+from repro.fastpath.samc_kernel import StreamSpec
 from repro.memory.cache import CacheStats
 from repro.obs import get_recorder
 from repro.resilience.errors import CATEGORY_SYMBOL, CorruptedStreamError
-from repro.resilience.frame import block_payload
 
 _TOP = 1 << 24
 _BOT = 1 << 16
@@ -190,18 +200,52 @@ def decode_bits(data: bytes, probabilities: List[int]) -> List[int]:
 # SAMC's Markov walk, one bit at a time
 
 
-def observe(stream: StreamModel, context: int, node: int, bit: int) -> None:
-    """Record one training observation."""
-    if stream._frozen:
-        raise RuntimeError("model is frozen; cannot train further")
-    stream._counts[context, node, bit] += 1
+class MarkovCounts:
+    """The first pass's state: a (context, node, bit) count per stream.
+
+    It has a model's layout (``width``, ``specs`` and
+    ``connect_bits``), so the walks below take either.
+    """
+
+    def __init__(
+        self, width: int, streams: Sequence[Sequence[int]], connect_bits: int
+    ) -> None:
+        self.width = width
+        self.connect_bits = connect_bits
+        self.specs = [StreamSpec(tuple(stream)) for stream in streams]
+        self.counts = [
+            np.zeros((1 << connect_bits, (1 << spec.k) - 1, 2), dtype=np.int64)
+            for spec in self.specs
+        ]
+
+    def freeze(self, quantizer: Quantizer = quantize_probability) -> SamcModel:
+        """The model: each cell's KT-smoothed P(0), quantised on its own."""
+        tables = [
+            [
+                [
+                    quantizer((zeros + 0.5) / (zeros + ones + 1.0))
+                    for zeros, ones in row
+                ]
+                for row in counts.tolist()
+            ]
+            for counts in self.counts
+        ]
+        return SamcModel(
+            self.width,
+            [spec.positions for spec in self.specs],
+            self.connect_bits,
+            tables,
+        )
 
 
-def p0_quantized(stream: StreamModel, context: int, node: int) -> int:
-    """Frozen quantised P(next bit = 0) at (context, node)."""
-    if not stream._frozen:
-        raise RuntimeError("model must be frozen before coding")
-    return int(stream._p0_q[context, node])
+def observe(counts: np.ndarray, context: int, node: int, bit: int) -> None:
+    """Record one training observation in a stream's counts."""
+    counts[context, node, bit] += 1
+
+
+def p0_quantized(table: np.ndarray, context: int, node: int) -> int:
+    """Quantised P(next bit = 0) at (context, node) of a stream's table."""
+    return int(table[context, node])
 
 
 def _context_from_bits(model: SamcModel, bits: List[int]) -> int:
@@ -214,18 +258,16 @@ def _context_from_bits(model: SamcModel, bits: List[int]) -> int:
     return context
 
 
-def train_block(model: SamcModel, words: Sequence[int]) -> None:
+def train_block(model: MarkovCounts, words: Sequence[int]) -> None:
     """Accumulate counts over one cache block of words.
 
     Training replays exactly the walk the coder will perform —
     including the context reset at the block start — so the model
     sees the same conditional events the coder asks it about.
     """
-    if model._frozen:
-        raise RuntimeError("model is frozen; cannot train further")
     context = 0
     for word in words:
-        for spec, stream in zip(model.specs, model.stream_models):
+        for spec, stream in zip(model.specs, model.counts):
             bits: List[int] = []
             prefix = 0
             for depth, pos in enumerate(spec.positions):
@@ -247,12 +289,12 @@ def walk_encode(
     """
     context = 0
     for word in words:
-        for spec, stream in zip(model.specs, model.stream_models):
+        for spec, table in zip(model.specs, model.tables):
             bits: List[int] = []
             prefix = 0
             for depth, pos in enumerate(spec.positions):
                 bit = (word >> (model.width - 1 - pos)) & 1
-                emit(bit, p0_quantized(stream, context, node_index(depth, prefix)))
+                emit(bit, p0_quantized(table, context, node_index(depth, prefix)))
                 prefix = (prefix << 1) | bit
                 bits.append(bit)
             context = _context_from_bits(model, bits)
@@ -266,11 +308,11 @@ def walk_decode(
     context = 0
     for _ in range(word_count):
         word = 0
-        for spec, stream in zip(model.specs, model.stream_models):
+        for spec, table in zip(model.specs, model.tables):
             bits: List[int] = []
             prefix = 0
             for depth, pos in enumerate(spec.positions):
-                bit = next_bit(p0_quantized(stream, context, node_index(depth, prefix)))
+                bit = next_bit(p0_quantized(table, context, node_index(depth, prefix)))
                 prefix = (prefix << 1) | bit
                 bits.append(bit)
                 word |= bit << (model.width - 1 - pos)
@@ -361,13 +403,13 @@ def _counting_emit(encoder: BinaryArithmeticEncoder, labels, per_label: dict):
 
 def samc_compress(codec, code: bytes) -> Tuple[SamcModel, List[bytes]]:
     """The reference two-pass SAMC compression, for a codec built
-    without ``optimize``: the model :func:`train_block` trains and
-    ``SamcCodec`` freezes, and the coded blocks, with bit accounting
-    when telemetry is on."""
-    model = SamcModel(codec.word_bits, codec.streams, codec.connect_bits)
+    without ``optimize``: the model :func:`train_block` counts and
+    :meth:`MarkovCounts.freeze` freezes with the codec's quantiser, and
+    the coded blocks, with bit accounting when telemetry is on."""
+    counts = MarkovCounts(codec.word_bits, codec.streams, codec.connect_bits)
     for block in _block_words(codec, code):
-        train_block(model, block)
-    model.freeze(codec._quantizer())
+        train_block(counts, block)
+    model = counts.freeze(codec._quantizer())
     return model, _encode_reference(codec, model, code, get_recorder())
 
 
@@ -394,10 +436,34 @@ def samc_decompress_block(codec, image, index: int) -> bytes:
     """One block of a SAMC image, decoded by the reference coder."""
     words = samc_decode_block(
         image.metadata["model"],
-        block_payload(image, index),
+        image.blocks[index],
         image.original_block_size(index) // codec.word_bytes,
     )
     return words_to_bytes(words, codec.word_bytes)
+
+
+def encode_probability(q: int, mode: str) -> bytes:
+    """One stored probability of a SAMC archive, as first written: the
+    high byte (``full``), all 16 bits (``full16``), or the side bit and
+    the smaller side's exponent (``pow2``)."""
+    if mode == "full":
+        return bytes([q >> 8])
+    if mode == "full16":
+        return q.to_bytes(2, "big")
+    side = 1 if q > 1 << 15 else 0
+    lps = (1 << 16) - q if side else q
+    return bytes([(side << 7) | (16 - (lps.bit_length() - 1))])
+
+
+def decode_probability(stored: bytes, mode: str) -> int:
+    """The 16-bit P(0) of one stored probability (``stored`` is one
+    byte, or two in ``full16``)."""
+    if mode == "full":
+        return stored[0] << 8
+    if mode == "full16":
+        return int.from_bytes(stored, "big")
+    lps = (1 << 16) >> (stored[0] & 0x1F)
+    return (1 << 16) - lps if stored[0] >> 7 else lps
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,11 @@ def test_samc_bytes_decompress_blocks_differential(data):
 
 
 @functools.lru_cache(maxsize=None)
-def _go_compiled_model():
-    from repro.fastpath.samc_kernel import CompiledSamcModel
-
+def _go_model():
     image = SamcCodec.for_mips().compress(
         generate_benchmark("go", "mips", 0.5, 0).code
     )
-    model = image.metadata["model"]
-    return model, CompiledSamcModel(model)
+    return image.metadata["model"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,13 +134,13 @@ def test_samc_decode_blocks_arbitrary_payloads(blocks):
     reference decoder, on corrupted payloads too: a block that reads far
     past its payload sees zeros there, never its neighbour's bytes or
     the end of the batch buffer."""
-    model, compiled = _go_compiled_model()
+    model = _go_model()
     payloads = [payload for payload, _ in blocks]
     counts = [count for _, count in blocks]
     expected = [samc_decode_block(model, p, c) for p, c in blocks]
-    assert [compiled.decode_block(p, c) for p, c in blocks] == expected
+    assert [model.decode_block(p, c) for p, c in blocks] == expected
     with _env(REPRO_BATCH_MIN="1"):
-        assert compiled.decode_blocks(payloads, counts) == expected
+        assert model.decode_blocks(payloads, counts) == expected
 
 
 def test_samc_decompress_blocks_empty():
@@ -155,13 +152,10 @@ def test_samc_decompress_blocks_empty():
 
 
 def test_samc_decode_blocks_rejects_mismatched_lengths():
-    from repro.fastpath.samc_kernel import compiled_model
-
     codec = SamcCodec.for_mips(block_size=16)
     image = codec.compress(bytes(range(64)))
-    compiled = compiled_model(image.metadata["model"])
     with pytest.raises(ValueError):
-        compiled.decode_blocks(list(image.blocks), [4])
+        image.metadata["model"].decode_blocks(list(image.blocks), [4])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def test_samc_encode_blocks_vec_vs_scalar(data, words_per_block):
     """The vector encoder emits the scalar encoder's exact bytes, and
     both the reference encoder's, block for block, including the final
     short block."""
-    from repro.fastpath.samc_kernel import compiled_model, walk_program
+    from repro.fastpath.samc_kernel import walk_program
 
     if not data:
         return
@@ -189,11 +183,13 @@ def test_samc_encode_blocks_vec_vs_scalar(data, words_per_block):
         block = words[start : start + words_per_block]
         walk_encode(model, block, encoder.encode_bit)
         expected.append(encoder.finish())
-    walk = walk_program(model, words, words_per_block)
+    walk = walk_program(
+        model.width, model.specs, model.connect_bits, words, words_per_block
+    )
     with _env(REPRO_BATCH_MIN="10000"):
-        scalar = compiled_model(model).encode_blocks(walk)
+        scalar = model.encode_blocks(walk)
     with _env(REPRO_BATCH_MIN="1"):
-        vec = compiled_model(model).encode_blocks(walk)
+        vec = model.encode_blocks(walk)
     assert vec == scalar == expected
 
 
@@ -233,13 +229,13 @@ def test_samc_deep_stream_decodes_on_the_scalar_loop():
     """A stream deeper than ``_MAX_LUT_DEPTH`` gets no lockstep tables,
     so a forced batch decode runs the per-block loop, and still returns
     each block's own decode and the input."""
-    from repro.fastpath.samc_kernel import _MAX_LUT_DEPTH, compiled_model
+    from repro.fastpath.samc_kernel import _MAX_LUT_DEPTH
 
     assert 13 > _MAX_LUT_DEPTH
     codec = SamcCodec(word_bits=16, streams=[range(13), range(13, 16)])
     data = generate_benchmark("go", "mips", 0.05, 0).code[:1024]
     image = codec.compress(data)
-    assert compiled_model(image.metadata["model"])._compile_batch() is None
+    assert image.metadata["model"]._compile_batch() is None
     indices = list(range(image.block_count()))
     per_block = [codec.decompress_block(image, i) for i in indices]
     with _env(REPRO_BATCH_MIN="1"):

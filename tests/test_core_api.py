@@ -5,8 +5,9 @@ import importlib
 import pytest
 
 import repro
-from repro.core import decompress_image
+from repro.core import block_codec, decompress_image
 from repro.core.lat import CompressedImage
+from repro.resilience.errors import CorruptedStreamError
 
 
 class TestPackageSurface:
@@ -57,6 +58,49 @@ class TestDecompressDispatch:
         image = CompressedImage("nope", 0, 32, [], 0)
         with pytest.raises(ValueError):
             decompress_image(image)
+
+    @pytest.mark.parametrize("algorithm, metadata, message", [
+        ("nope", {}, "unknown algorithm 'nope'"),
+        ("SADC", {"isa": "arm"}, "image has unknown ISA 'arm'"),
+    ])
+    def test_unknown_codec_keeps_its_value_error(
+        self, algorithm, metadata, message
+    ):
+        image = CompressedImage(algorithm, 0, 32, [], 0, metadata=metadata)
+        with pytest.raises(ValueError) as info:
+            decompress_image(image)
+        assert str(info.value) == message
+        assert not isinstance(info.value, CorruptedStreamError)
+
+    def test_samc_without_word_bits(self, mips_program):
+        image = repro.samc_compress(mips_program)
+        del image.metadata["word_bits"]
+        with pytest.raises(CorruptedStreamError) as info:
+            decompress_image(image)
+        assert info.value.category == "bounds"
+
+    @pytest.mark.parametrize("entry", ["image", "block", "blocks"])
+    def test_samc_without_model(self, mips_program, entry):
+        image = repro.samc_compress(mips_program)
+        codec = block_codec(image)
+        del image.metadata["model"]
+        decode = {
+            "image": lambda: decompress_image(image),
+            "block": lambda: codec.decompress_block(image, 0),
+            "blocks": lambda: codec.decompress_blocks(image, [0, 1]),
+        }[entry]
+        with pytest.raises(CorruptedStreamError) as info:
+            decode()
+        assert info.value.category == "bounds"
+
+    def test_positional_without_word_bytes(self, mips_program):
+        from repro.baselines.positional_huffman import PositionalHuffmanCodec
+
+        image = PositionalHuffmanCodec().compress(mips_program)
+        del image.metadata["word_bytes"]
+        with pytest.raises(CorruptedStreamError) as info:
+            decompress_image(image)
+        assert info.value.category == "bounds"
 
 
 class TestPublicDocstrings:

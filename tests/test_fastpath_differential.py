@@ -22,15 +22,9 @@ from repro.baselines import lzss
 from repro.baselines.lzw import lzw_decompress
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.samc.codec import QUANTIZERS, SamcCodec
-from repro.core.samc.model import SamcModel
+from repro.core.samc.model import SamcModel, train_model
 from repro.fastpath.lz_kernel import lzw_compress_fast, tokenize_fast
-from repro.fastpath.samc_kernel import (
-    CompiledSamcModel,
-    _encode_span,
-    _encode_span_obs,
-    train_model_fast,
-    walk_program,
-)
+from repro.fastpath.samc_kernel import _encode_span, _encode_span_obs
 from repro.obs import obs_session
 from repro.resilience.errors import CorruptedStreamError
 from repro.workloads.suite import generate_benchmark
@@ -39,6 +33,7 @@ from tests.oracles import (
     BinaryArithmeticEncoder,
     _lzw_compress_reference,
     _tokenize_reference,
+    MarkovCounts,
     samc_compress,
     samc_decode_block,
     train_block,
@@ -273,55 +268,55 @@ samc_programs = st.one_of(
 @given(samc_programs, st.integers(0, 3), st.sampled_from([1, 2, 4, 8]),
        st.sampled_from(sorted(QUANTIZERS)))
 def test_samc_kernel_differential(data, connect_bits, words_per_block, mode):
-    """Training counts, coded blocks, and decode all match the reference
+    """Trained tables, coded blocks, and decode all match the reference
     in every probability mode, on inputs that reach the quantisers'
-    clamps and the range coder's underflows (see ``samc_programs``)."""
+    clamps and the range coder's underflows (see ``samc_programs``).
+    The reference counts every bit of the per-block walk and quantises
+    every cell on its own; training counts one walk of the whole program
+    with a bincount and quantises each distinct probability once."""
     words = _random_words(data, 32)
     if not words:
         return
     streams = [[0, 1, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14, 15],
                [16, 17, 18, 19, 20, 21, 22, 23], [24, 25, 26, 27, 28, 29, 30, 31]]
 
-    reference = SamcModel(32, streams, connect_bits)
+    counts = MarkovCounts(32, streams, connect_bits)
     blocks = [
         words[i : i + words_per_block]
         for i in range(0, len(words), words_per_block)
     ]
     for block in blocks:
-        train_block(reference, block)
-    fast = SamcModel(32, streams, connect_bits)
-    walk = walk_program(fast, words, words_per_block)
-    train_model_fast(fast, walk)
-    for ref_stream, fast_stream in zip(reference.stream_models, fast.stream_models):
-        assert (ref_stream._counts == fast_stream._counts).all()
-
-    reference.freeze(QUANTIZERS[mode])
-    fast.freeze(QUANTIZERS[mode])
-    compiled = CompiledSamcModel(fast)
+        train_block(counts, block)
+    reference = counts.freeze(QUANTIZERS[mode])
+    model, walk = train_model(
+        32, streams, connect_bits, words, words_per_block, QUANTIZERS[mode]
+    )
+    for ref_table, table in zip(reference.tables, model.tables):
+        assert ref_table.tolist() == table.tolist()
 
     expected_payloads = []
     for block in blocks:
         encoder = BinaryArithmeticEncoder()
         walk_encode(reference, block, encoder.encode_bit)
         expected_payloads.append(encoder.finish())
-    assert compiled.encode_blocks(walk) == expected_payloads
+    assert model.encode_blocks(walk) == expected_payloads
 
     for block, payload in zip(blocks, expected_payloads):
         decoder = BinaryArithmeticDecoder(payload)
         assert walk_decode(reference, len(block), decoder.decode_bit) == block
-        assert compiled.decode_block(payload, len(block)) == block
+        assert model.decode_block(payload, len(block)) == block
 
 
 @pytest.mark.parametrize("bad", [0, 1 << 16])
-def test_compiled_model_rejects_out_of_range_probabilities(bad):
+def test_model_rejects_out_of_range_probabilities(bad):
     """A stored probability of 0 or 1 empties one side of the coder's
-    split, so the decoder's renormalisation would never end; compiling
-    such a table (as a corrupted archive can carry) is refused."""
+    split, so the decoder's renormalisation would never end; a model
+    holding one cannot be built."""
     table = np.full((1, 255), 1 << 15, dtype=np.int64)
     table[0, 7] = bad
-    model = SamcModel.from_frozen(8, [range(8)], 0, [table])
-    with pytest.raises(CorruptedStreamError):
-        CompiledSamcModel(model)
+    with pytest.raises(CorruptedStreamError) as info:
+        SamcModel(8, [range(8)], 0, [table])
+    assert info.value.category == "structure"
 
 
 #: (layout, probability mode, connect bits) of every decode configuration.
@@ -335,7 +330,7 @@ DECODE_CONFIGS = [
 
 @functools.lru_cache(maxsize=None)
 def _decode_config(layout, mode, connect):
-    """A trained image of a small program and its compiled model."""
+    """A trained image of a small program, its model and block words."""
     if layout == "bytes":
         codec = SamcCodec.for_bytes(probability_mode=mode, connect_bits=connect)
     else:
@@ -346,12 +341,11 @@ def _decode_config(layout, mode, connect):
             optimize_iterations=40,
         )
     image = codec.compress(generate_benchmark("go", "mips", 0.05, 0).code)
-    model = image.metadata["model"]
-    return image, model, CompiledSamcModel(model), codec.block_size // codec.word_bytes
+    return image, image.metadata["model"], codec.block_size // codec.word_bytes
 
 
 def test_optimized_decode_config_has_non_contiguous_streams():
-    _, model, _, _ = _decode_config("optimized", "full", 1)
+    _, model, _ = _decode_config("optimized", "full", 1)
     assert any(
         list(spec.positions) != list(range(spec.positions[0], spec.positions[0] + spec.k))
         for spec in model.specs
@@ -363,7 +357,7 @@ def test_optimized_decode_config_has_non_contiguous_streams():
 def test_samc_decode_block_matches_reference_walk(config, data):
     """The fused decoder equals the object walk over the reference range
     decoder on any payload, valid or not, and any word count."""
-    image, model, compiled, block_words = _decode_config(*config)
+    image, model, block_words = _decode_config(*config)
     payload = data.draw(st.one_of(
         st.just(b""),
         st.binary(max_size=6),
@@ -384,7 +378,7 @@ def test_samc_decode_block_matches_reference_walk(config, data):
     ))
     word_count = data.draw(st.integers(0, 2 * block_words))
     expected = samc_decode_block(model, payload, word_count)
-    assert compiled.decode_block(payload, word_count) == expected
+    assert model.decode_block(payload, word_count) == expected
 
 
 def test_renormalisation_never_needed_while_range_is_wide():
@@ -516,8 +510,6 @@ def test_samc_codec_oracle_differential(data):
     image = codec.compress(data)
     model, blocks = samc_compress(codec, data)
     assert image.blocks == blocks
-    for fast_stream, ref_stream in zip(
-        image.metadata["model"].stream_models, model.stream_models
-    ):
-        assert (fast_stream.frozen_table == ref_stream.frozen_table).all()
+    for table, ref_table in zip(image.metadata["model"].tables, model.tables):
+        assert table.tolist() == ref_table.tolist()
     assert codec.decompress(image) == data

@@ -19,7 +19,6 @@ from repro.memory.fetchsim import (
 )
 from repro.memory.trace import generate_trace
 from repro.resilience.errors import CorruptedStreamError
-from repro.resilience.frame import frame_image
 from repro.workloads.kernels import KERNELS, MEMCPY, run_kernel
 from repro.workloads.suite import generate_benchmark
 
@@ -244,11 +243,12 @@ def _go_image(codec, scale=0.1):
     return codec.compress(generate_benchmark("go", "mips", scale, 0).code)
 
 
-def _framed_with_bad_block(index):
-    """A framed SAMC image whose block ``index`` fails its CRC."""
-    image = frame_image(_go_image(SamcCodec.for_mips()))
+def _with_bad_block(index):
+    """An SADC-MIPS image whose block ``index`` is cut to nothing, so its
+    decode reads past the end of the block and raises."""
+    image = _go_image(MipsSadcCodec())
     blocks = list(image.blocks)
-    blocks[index] = blocks[index][:-1] + bytes([blocks[index][-1] ^ 0xFF])
+    blocks[index] = b""
     image.blocks = blocks
     return image
 
@@ -258,7 +258,7 @@ class TestRefillFailure:
 
     @pytest.mark.parametrize("burst", [1, 4])
     def test_failed_refill_never_counts_as_a_hit(self, burst):
-        image = _framed_with_bad_block(0)
+        image = _with_bad_block(0)
         port = CompressedFetchPort(image, refill_burst=burst)
         for _ in range(3):
             with pytest.raises(CorruptedStreamError):
@@ -269,7 +269,7 @@ class TestRefillFailure:
         assert port.refills == 1
 
     def test_bad_block_fails_only_its_own_fetches_in_a_burst(self):
-        image = _framed_with_bad_block(2)
+        image = _with_bad_block(2)
         addresses = [0, 4, image.block_size, 3 * image.block_size]
         outcomes = []
         for burst in (1, 16):

@@ -26,8 +26,6 @@ from repro.core.serialize import (
 from repro.resilience import (
     FRAME_OVERHEAD,
     CorruptedStreamError,
-    block_payload,
-    frame_image,
     framing_enabled,
     is_framed,
     unwrap_frame,
@@ -202,26 +200,6 @@ class TestFrame:
         framed[9] ^= 0xFF  # low byte of the u32 length
         with pytest.raises(CorruptedStreamError):
             unwrap_frame(bytes(framed))
-
-
-class TestFramedImage:
-    def test_per_block_framing_decodes(self, mips_program):
-        image = SamcCodec.for_mips().compress(mips_program)
-        framed = frame_image(image)
-        assert framed.metadata["framed"] is True
-        assert image.metadata.get("framed") is None  # original untouched
-        assert samc_decompress(framed) == mips_program
-
-    def test_corrupted_block_detected(self, mips_program):
-        image = SamcCodec.for_mips().compress(mips_program)
-        framed = frame_image(image)
-        framed.blocks[0] = flip_bit(framed.blocks[0], 80)
-        with pytest.raises(CorruptedStreamError):
-            samc_decompress(framed)
-
-    def test_block_payload_passthrough_when_unframed(self, mips_program):
-        image = SamcCodec.for_mips().compress(mips_program)
-        assert block_payload(image, 0) == image.blocks[0]
 
 
 class TestFramedSerialization:

@@ -9,15 +9,23 @@ import pytest
 
 from repro.bitstream.fields import chunk_words
 from repro.core.samc.codec import QUANTIZERS
-from repro.core.samc.model import SamcModel, StreamModel, StreamSpec, node_index
+from repro.core.samc.model import SamcModel, freeze, node_index
 from repro.entropy.arith import quantize_probability
 from tests.oracles import (
-    observe,
-    p0_quantized,
+    MarkovCounts,
     train_block,
     walk_decode,
     walk_encode,
 )
+
+
+def _uniform(width, streams, connect_bits):
+    """A model whose every stored probability is one half."""
+    tables = [
+        np.full((1 << connect_bits, (1 << len(stream)) - 1), 1 << 15)
+        for stream in streams
+    ]
+    return SamcModel(width, streams, connect_bits, tables)
 
 
 class TestNodeIndex:
@@ -39,37 +47,30 @@ class TestNodeIndex:
 
 class TestStreamModel:
     def test_node_count(self):
-        model = StreamModel(StreamSpec((0, 1, 2)), contexts=1)
-        assert model.node_count == 7
+        # A 3-bit stream's tree has 7 internal nodes: one table column
+        # each, and a table of any other width is refused.
+        assert _uniform(3, [(0, 1, 2)], 0).tables[0].shape == (1, 7)
+        with pytest.raises(ValueError):
+            SamcModel(3, [(0, 1, 2)], 0, [np.full((1, 8), 1 << 15)])
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            StreamModel(StreamSpec(()), contexts=1)
+            _uniform(1, [(0,), ()], 0)
 
     def test_probabilities_reflect_counts(self):
-        model = StreamModel(StreamSpec((0,)), contexts=1)
-        for _ in range(99):
-            observe(model, 0, 0, 0)
-        observe(model, 0, 0, 1)
-        model.freeze()
-        p = p0_quantized(model, 0, 0) / (1 << 16)
+        p = freeze(np.array([[99, 1]]))[0] / (1 << 16)
         assert p > 0.95
 
     def test_unseen_node_gets_half(self):
-        model = StreamModel(StreamSpec((0, 1)), contexts=1)
-        model.freeze()
-        assert p0_quantized(model, 0, 0) == quantize_probability(0.5)
-
-    def test_freeze_required_before_lookup(self):
-        model = StreamModel(StreamSpec((0,)), contexts=1)
-        with pytest.raises(RuntimeError):
-            p0_quantized(model, 0, 0)
+        assert freeze(np.zeros((3, 2), dtype=np.int64)).tolist() == [
+            quantize_probability(0.5)
+        ] * 3
 
     def test_no_training_after_freeze(self):
-        model = StreamModel(StreamSpec((0,)), contexts=1)
-        model.freeze()
-        with pytest.raises(RuntimeError):
-            observe(model, 0, 0, 0)
+        # A model's tables are read-only: once built it never changes.
+        model = _uniform(8, [range(8)], 0)
+        with pytest.raises(ValueError):
+            model.tables[0][0, 0] = 1
 
     @pytest.mark.parametrize("mode", sorted(QUANTIZERS))
     def test_freeze_quantises_every_cell_as_its_quantiser(self, mode):
@@ -79,42 +80,40 @@ class TestStreamModel:
         counts = rng.integers(0, 8, size=(16, 15, 2))
         counts[::3, :, 1] = 0
         counts[1::4] *= rng.integers(1, 5000, size=(4, 15, 1))
-        model = StreamModel(StreamSpec((0, 1, 2, 3)), contexts=16)
-        model.observe_counts(counts)
-        model.freeze(QUANTIZERS[mode])
         quantize = QUANTIZERS[mode]
         expected = [
             [quantize((zeros + 0.5) / (zeros + ones + 1.0)) for zeros, ones in row]
             for row in counts.tolist()
         ]
-        assert model.frozen_table.dtype == np.int64
-        assert model.frozen_table.tolist() == expected
+        frozen = freeze(counts, quantize)
+        assert frozen.dtype == np.int64
+        assert frozen.tolist() == expected
 
 
 class TestSamcModel:
     def test_streams_must_partition_word(self):
         with pytest.raises(ValueError):
-            SamcModel(8, [(0, 1, 2)])  # misses positions 3..7
+            _uniform(8, [(0, 1, 2)], 1)  # misses positions 3..7
         with pytest.raises(ValueError):
-            SamcModel(8, [(0, 1, 2, 3), (3, 4, 5, 6)])  # duplicate 3
+            _uniform(8, [(0, 1, 2, 3), (3, 4, 5, 6)], 1)  # duplicate 3
 
     def test_probability_count(self):
-        model = SamcModel(32, [range(0, 8), range(8, 16),
-                               range(16, 24), range(24, 32)], connect_bits=0)
+        model = _uniform(32, [range(0, 8), range(8, 16),
+                              range(16, 24), range(24, 32)], connect_bits=0)
         assert model.probability_count() == 4 * 255
-        connected = SamcModel(32, [range(0, 8), range(8, 16),
-                                   range(16, 24), range(24, 32)], connect_bits=1)
+        connected = _uniform(32, [range(0, 8), range(8, 16),
+                                  range(16, 24), range(24, 32)], connect_bits=1)
         assert connected.probability_count() == 4 * 255 * 2
 
     def test_storage_bytes_scales_with_precision(self):
-        model = SamcModel(8, [range(8)], connect_bits=0)
+        model = _uniform(8, [range(8)], connect_bits=0)
         assert model.storage_bytes(8) < model.storage_bytes(16)
 
     def test_walk_encode_decode_symmetry(self):
-        model = SamcModel(8, [range(8)], connect_bits=1)
+        counts = MarkovCounts(8, [range(8)], connect_bits=1)
         words = [0x12, 0x12, 0x34, 0x12, 0x56, 0x12]
-        train_block(model, words)
-        model.freeze()
+        train_block(counts, words)
+        model = counts.freeze()
 
         emitted = []
         walk_encode(model, words, lambda bit, p: emitted.append((bit, p)))
@@ -136,12 +135,12 @@ class TestSamcModel:
     def test_block_reset_makes_blocks_independent(self):
         # Identical blocks must produce identical (bit, prob) traces even
         # when preceded by different history.
-        model = SamcModel(8, [range(8)], connect_bits=2)
+        counts = MarkovCounts(8, [range(8)], connect_bits=2)
         block_a = [0xAA, 0xBB, 0xCC]
         block_b = [0x01, 0x02, 0x03]
-        train_block(model, block_a)
-        train_block(model, block_b)
-        model.freeze()
+        train_block(counts, block_a)
+        train_block(counts, block_b)
+        model = counts.freeze()
 
         def trace(block):
             out = []
@@ -155,21 +154,15 @@ class TestSamcModel:
 
     def test_negative_connect_rejected(self):
         with pytest.raises(ValueError):
-            SamcModel(8, [range(8)], connect_bits=-1)
-
-    def test_train_after_freeze_rejected(self):
-        model = SamcModel(8, [range(8)])
-        model.freeze()
-        with pytest.raises(RuntimeError):
-            train_block(model, [0])
+            SamcModel(8, [range(8)], -1, [np.full((1, 255), 1 << 15)])
 
 
 def test_model_on_real_program(mips_program):
     words = chunk_words(mips_program, 4)
-    model = SamcModel(32, [range(0, 8), range(8, 16),
-                           range(16, 24), range(24, 32)])
-    train_block(model, words)
-    model.freeze()
+    counts = MarkovCounts(32, [range(0, 8), range(8, 16),
+                               range(16, 24), range(24, 32)], 1)
+    train_block(counts, words)
+    model = counts.freeze()
     decoded_bits = []
     walk_encode(model, words[:16], lambda b, p: decoded_bits.append(b))
     assert len(decoded_bits) == 512

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.baselines.byte_huffman import ByteHuffmanCodec
@@ -9,11 +10,15 @@ from repro.core.sadc import MipsSadcCodec, X86SadcCodec, sadc_decompress
 from repro.core.samc import SamcCodec, samc_decompress
 from repro.core.serialize import (
     SerializationError,
+    _decode_table,
+    _encode_table,
+    _Reader,
     deserialize_image,
     load_image,
     save_image,
     serialize_image,
 )
+from tests.oracles import decode_probability, encode_probability
 
 
 class TestSamcRoundtrip:
@@ -30,9 +35,8 @@ class TestSamcRoundtrip:
         restored = deserialize_image(serialize_image(image))
         original_model = image.metadata["model"]
         restored_model = restored.metadata["model"]
-        for a, b in zip(original_model.stream_models,
-                        restored_model.stream_models):
-            assert (a.frozen_table == b.frozen_table).all()
+        for a, b in zip(original_model.tables, restored_model.tables):
+            assert (a == b).all()
 
     def test_byte_mode(self, x86_program):
         codec = SamcCodec.for_bytes()
@@ -48,6 +52,24 @@ class TestSamcRoundtrip:
         assert restored.model_bytes == image.model_bytes
         assert restored.blocks == image.blocks
         assert restored.compression_ratio == image.compression_ratio
+
+
+@pytest.mark.parametrize("mode", ["full", "full16", "pow2"])
+def test_table_coders_match_the_per_probability_coders(mode):
+    """Every valid probability is stored as the reference stores it, and
+    every stored pattern reads back as the reference reads it (the read
+    check then rejects the 0 and ``PROB_ONE`` that some patterns give)."""
+    valid = np.arange(1, 1 << 16, dtype=np.int64)
+    assert _encode_table(valid, mode) == b"".join(
+        encode_probability(q, mode) for q in valid.tolist()
+    )
+    width = 2 if mode == "full16" else 1
+    stored = np.arange(1 << 8 * width, dtype=">u2" if width == 2 else "u1")
+    data = stored.tobytes()
+    assert _decode_table(_Reader(data), stored.size, mode).tolist() == [
+        decode_probability(data[i : i + width], mode)
+        for i in range(0, len(data), width)
+    ]
 
 
 class TestSadcRoundtrip:

@@ -36,9 +36,10 @@ class TestRegistryUnit:
             counters = rec.snapshot()["counters"]
         assert counters["service.registry.train"] == 1
         assert counters["service.registry.hit"] == 9
-        # Every request got the very same frozen model object.
+        # Every request got the very same model object, which is
+        # immutable: its tables are read-only.
         assert all(model is models[0] for model in models)
-        assert models[0].frozen
+        assert not any(table.flags.writeable for table in models[0].tables)
 
     def test_trained_exactly_once_under_concurrency(self, mips_program):
         registry = WarmModelRegistry()

@@ -65,16 +65,16 @@ class TestBrokenFixtures:
         assert len(findings) == 1
         assert findings[0].rule == "sadc-ambiguous"
 
-    def test_samc_model_with_zero_probability_row(self):
-        # One quantised P(0) of zero starves the 0-branch of its interval:
-        # a bit the model can emit but never decode.
-        table = np.full((1, 255), 32768, dtype=np.int64)
-        table[0, 17] = 0
-        model = SamcModel.from_frozen(8, [list(range(8))], 0, [table])
+    def test_samc_model_with_unreachable_replicas(self):
+        # Two connection bits after a 1-bit stream: stream 1 stores four
+        # tree replicas, but its context is one bit wide.
+        streams = [(0,), (1, 2)]
+        tables = [np.full((4, (1 << len(s)) - 1), 1 << 15) for s in streams]
+        model = SamcModel(3, streams, 2, tables)
         findings = check_samc_model(model, origin="fixture")
         assert len(findings) == 1
-        assert findings[0].rule == "samc-distribution"
-        assert "node 17" in findings[0].message
+        assert findings[0].rule == "samc-unreachable"
+        assert "stream 1 stores 4 tree replicas" in findings[0].message
 
     def test_overlapping_field_layout(self):
         # Fields (0,5) and (4,4) both claim bit 4.

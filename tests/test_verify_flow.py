@@ -911,8 +911,8 @@ def test_decompress_image_reaches_every_codec_decode_path(real_graph):
     reachable = real_graph.reachable(["core/__init__.py::decompress_image"])
     assert {
         "core/samc/codec.py::SamcCodec.decompress_blocks",
-        "fastpath/samc_kernel.py::CompiledSamcModel.decode_block",
-        "fastpath/samc_kernel.py::CompiledSamcModel.decode_blocks",
+        "fastpath/samc_kernel.py::SamcModel.decode_block",
+        "fastpath/samc_kernel.py::SamcModel.decode_blocks",
         "core/sadc/mips.py::MipsSadcCodec._decode_words",
         "core/sadc/x86.py::X86SadcCodec.decompress_block",
         "core/sadc/x86_reassemble.py::reassemble_instruction",
