@@ -13,9 +13,9 @@ Two-pass semiadaptive scheme:
 Training (:func:`repro.core.samc.model.train_model`) builds the model
 directly; encoding and decoding run on its kernels in
 :mod:`repro.fastpath.samc_kernel`.  :meth:`SamcCodec.compress` computes
-the walk once and hands it to both passes.  The bit-at-a-time reference they
-are pinned to, the paper's walk and coder as written, lives in
-``tests/oracles.py``.
+the walk once and hands it to both passes.  The bit-at-a-time
+reference they are pinned to, the paper's walk and coder as written,
+lives in ``tests/oracles.py``.
 
 The codec is ISA-independent: it only assumes fixed-width words.  MIPS
 uses 32-bit words in four 8-bit streams; x86 falls back to 8-bit "words"

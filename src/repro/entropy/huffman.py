@@ -277,7 +277,7 @@ def decode_table(code: HuffmanCode) -> DecodeTable:
         ranges=tuple((n, width - n, i - first) for first, n, i in firsts),
         symbols=tuple(symbols),
     )
-    # HuffmanCode is frozen; memoise as compiled_model does on a model.
+    # HuffmanCode is a frozen dataclass, so the memo bypasses its setattr.
     object.__setattr__(code, "_decode_table", table)
     return table
 

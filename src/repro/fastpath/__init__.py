@@ -6,10 +6,11 @@ table-compiled, batch-oriented forms of the algorithms that are
 **bit-identical by construction and by test** to the clarity-first
 reference coders kept in ``tests/oracles.py``:
 
-* :mod:`repro.fastpath.samc_kernel` — compiles a frozen
-  :class:`~repro.core.samc.model.SamcModel` into flat integer tables,
-  vectorises training with :func:`numpy.bincount`, and fuses the Markov
-  walk with the range coder into single tight loops.
+* :mod:`repro.fastpath.samc_kernel` — the one SAMC model,
+  :class:`~repro.fastpath.samc_kernel.SamcModel`: its quantised tables,
+  the whole-program Markov walk that training counts, and the coders
+  that fuse the walk with the range coder into single tight loops,
+  their tables built from the model's on first use.
 * :mod:`repro.fastpath.lz_kernel` — memoryview/chunked match extension
   for LZSS and integer-keyed dictionary lookups for LZW.
 * :mod:`repro.fastpath.huffman_kernel` — decodes a batch of

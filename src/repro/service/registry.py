@@ -7,10 +7,10 @@ training dominates the request, and every request for the same program
 would redo it.  The registry closes that gap.  Models are keyed by
 ``(codec name, SHA-256 of the training bytes)`` — the same
 content-addressing the pipeline's result cache uses — trained **exactly
-once** per key, frozen, and shared by every subsequent request.  Frozen
-:class:`~repro.core.samc.model.SamcModel` objects are immutable
-(:meth:`freeze` is the last mutation), so one model can serve concurrent
-encodes from the executor's worker threads without locking.
+once** per key and shared by every subsequent request.
+:class:`~repro.core.samc.model.SamcModel` objects are immutable (frozen
+by construction, with read-only tables), so one model can serve
+concurrent encodes from the executor's worker threads without locking.
 
 Memory stays bounded by LRU eviction: at most ``max_entries`` models are
 resident, and every hit/train/eviction is counted through

@@ -327,6 +327,70 @@ class TestPinnedSamcErrors:
         )
 
 
+class TestPinnedSamcLayout:
+    """The SAMC layout fields the reader checks, at and past each bound."""
+
+    @pytest.mark.parametrize("width", [0, 12, 72])
+    def test_implausible_width(self, archives, width):
+        archive = archives["samc-full"]
+        assert _read_error(_with(archive, _model_start(archive), width)) == (
+            f"implausible SAMC word width {width}", "structure", None,
+        )
+
+    def test_no_streams(self, archives):
+        archive = archives["samc-full"]
+        assert _read_error(_with(archive, _model_start(archive) + 1, 0)) == (
+            "implausible SAMC stream count 0 for width 32", "structure", None,
+        )
+
+    def test_connect_bits_at_the_format_maximum(self, archives):
+        # 16 passes the connection check; 2**16 tree replicas of an
+        # 8-bit stream then fail the table budget.
+        archive = archives["samc-full"]
+        assert _read_error(_with(archive, _model_start(archive) + 2, 16)) == (
+            "SAMC table: 16711680 declared entries need at least 16711680 "
+            "bytes, only 2756 left",
+            "budget", 143,
+        )
+
+    def test_streams_that_do_not_partition_the_word(self, archives):
+        archive = archives["samc-full"]
+        covered = [1] + list(range(1, 32))
+        assert _read_error(_with(archive, _model_start(archive) + 5, 1)) == (
+            "inconsistent SAMC model: streams must partition bit positions "
+            f"0..31, got {covered}",
+            "structure", None,
+        )
+
+    def test_widest_word_and_one_bit_streams(self, mips_program, x86_program):
+        """64-bit words, and as many streams as a byte has bits, each of
+        one bit, read back and decode."""
+        programs_and_codecs = [
+            (mips_program[: len(mips_program) // 8 * 8], SamcCodec(
+                word_bits=64,
+                streams=[tuple(range(s, s + 8)) for s in range(0, 64, 8)],
+                connect_bits=0,
+            )),
+            (x86_program, SamcCodec(
+                word_bits=8, streams=[(bit,) for bit in range(8)]
+            )),
+        ]
+        for program, codec in programs_and_codecs:
+            archive = serialize_image(codec.compress(program), framed=False)
+            restored = deserialize_image(archive)
+            assert serialize_image(restored, framed=False) == archive
+            assert samc_decompress(restored) == program
+
+    def test_extreme_probabilities_are_kept(self, archives):
+        """1 and ``PROB_ONE - 1``, the table check's bounds, are valid."""
+        archive = archives["samc-full16"]
+        (first, _), (second, _) = _samc_tables(archive)[:2]
+        changed = _with(_with(archive, first, 0, 1), second, 0xFF, 0xFF)
+        tables = deserialize_image(changed).metadata["model"].tables
+        assert (tables[0][0, 0], tables[1][0, 0]) == (1, 65535)
+        assert serialize_image(deserialize_image(changed), framed=False) == changed
+
+
 class TestPinnedHuffmanErrors:
     def test_zero_length_codeword(self, archives):
         archive = archives["byte-huffman"]
