@@ -11,13 +11,14 @@ call these functions directly and compare with production.
   Markov walk into :class:`MarkovCounts`, one :func:`observe` per bit,
   and :meth:`MarkovCounts.freeze` quantises each cell's KT estimate on
   its own; :func:`walk_encode` and :func:`walk_decode` ask the model's
-  tables for each bit's prediction (:func:`p0_quantized`).  :class:`BinaryArithmeticEncoder` and
-  :class:`BinaryArithmeticDecoder` are the carry-less range coder, one
-  method call per bit.  :func:`_encode_reference` is the whole encoder,
-  with the per-``(stream, depth)`` bit accounting of
-  :func:`_counting_emit` when telemetry is on.
-  :func:`encode_probability` and :func:`decode_probability` store one
-  probability of an archive's tables.
+  tables for each bit's prediction (:func:`p0_quantized`).
+  :class:`BinaryArithmeticEncoder` and :class:`BinaryArithmeticDecoder`
+  are the carry-less range coder, one method call per bit.
+  :func:`_encode_reference` is the whole encoder, with the
+  per-``(stream, depth)`` bit accounting of :func:`_counting_emit` when
+  telemetry is on.  :func:`encode_probability` and
+  :func:`decode_probability` store one probability of an archive's
+  tables.
 * **LZSS** -- :func:`_tokenize_reference`, a hash-chain parse over byte
   strings.
 * **LZW** -- :func:`_lzw_compress_reference`, a dictionary of byte

@@ -307,6 +307,22 @@ def test_samc_kernel_differential(data, connect_bits, words_per_block, mode):
         assert model.decode_block(payload, len(block)) == block
 
 
+@pytest.mark.parametrize("mode", sorted(QUANTIZERS))
+@pytest.mark.parametrize("layout", ["mips", "bytes"])
+def test_training_matches_the_cell_by_cell_reference(layout, mode):
+    """On a real program, in every probability mode, the tables training
+    builds are the reference's, counted bit by bit and quantised cell by
+    cell."""
+    make = SamcCodec.for_bytes if layout == "bytes" else SamcCodec.for_mips
+    codec = make(probability_mode=mode)
+    code = generate_benchmark("go", "mips", 0.05, 0).code
+    reference, _ = samc_compress(codec, code)
+    tables = codec.train(code).tables
+    assert [table.tolist() for table in tables] == [
+        table.tolist() for table in reference.tables
+    ]
+
+
 @pytest.mark.parametrize("bad", [0, 1 << 16])
 def test_model_rejects_out_of_range_probabilities(bad):
     """A stored probability of 0 or 1 empties one side of the coder's

@@ -400,6 +400,16 @@ class TestPinnedHuffmanErrors:
             "structure", third + 4,
         )
 
+    def test_first_of_two_zero_length_codewords_is_named(self, archives):
+        archive = archives["byte-huffman"]
+        third = _model_start(archive) + 2 + 5 * 2
+        fifth = third + 5 * 2
+        changed = _with(_with(archive, fifth + 4, 0), third + 4, 0)
+        assert _read_error(changed) == (
+            "Huffman symbol 2 declares a zero-length codeword",
+            "structure", third + 4,
+        )
+
     def test_non_byte_symbol(self, archives):
         archive = archives["byte-huffman"]
         first = _model_start(archive) + 2
