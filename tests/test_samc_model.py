@@ -54,8 +54,12 @@ class TestStreamModel:
             SamcModel(3, [(0, 1, 2)], 0, [np.full((1, 8), 1 << 15)])
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one bit"):
             _uniform(1, [(0,), ()], 0)
+
+    def test_one_bit_streams(self):
+        # The smallest stream: one node per tree, one tree per context.
+        assert _uniform(2, [(0,), (1,)], 1).probability_count() == 4
 
     def test_probabilities_reflect_counts(self):
         p = freeze(np.array([[99, 1]]))[0] / (1 << 16)
@@ -153,7 +157,7 @@ class TestSamcModel:
         assert trace(block_a) == first
 
     def test_negative_connect_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             SamcModel(8, [range(8)], -1, [np.full((1, 255), 1 << 15)])
 
 
