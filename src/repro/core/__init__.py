@@ -33,7 +33,8 @@ def block_codec(image: CompressedImage):
     the refill engine's fetch port decodes every miss through one.
     Raises :class:`ValueError` for an algorithm or SADC ISA this package
     does not produce, and :class:`CorruptedStreamError` for metadata
-    the codec needs but the image lacks or holds malformed.
+    the codec needs but the image lacks, or holds a value the codec
+    rejects.
     """
     with decode_guard("core.block_codec"):
         if image.algorithm == "SAMC":
