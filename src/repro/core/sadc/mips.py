@@ -86,6 +86,7 @@ from repro.resilience.errors import (
     CATEGORY_STRUCTURE,
     CorruptedStreamError,
     decode_guard,
+    require_type,
 )
 
 DEFAULT_BLOCK_SIZE = 32
@@ -900,9 +901,17 @@ class MipsSadcCodec:
         indices = list(indices)
         if not indices:
             return []
-        dictionary: Dictionary = image.metadata["dictionary"]
-        codes: Dict[str, HuffmanCode] = image.metadata["codes"]
-        decoders = {name: HuffmanDecoder(code) for name, code in codes.items()}
+        with decode_guard("sadc.mips.decompress_blocks"):
+            dictionary = require_type(
+                image.metadata["dictionary"], Dictionary, "SADC dictionary"
+            )
+            codes = require_type(image.metadata["codes"], dict, "SADC codes")
+            decoders = {
+                name: HuffmanDecoder(
+                    require_type(code, HuffmanCode, f"SADC {name} code")
+                )
+                for name, code in codes.items()
+            }
         out: List[bytes] = []
         for block_index in indices:
             expected = image.original_block_size(block_index) // 4

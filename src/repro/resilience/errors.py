@@ -121,6 +121,23 @@ class decode_guard:
                 ) from error
 
 
+def require_type(value, kind: type, what: str):
+    """``value``, checked to be a ``kind``; otherwise a ``structure``
+    :class:`CorruptedStreamError` naming ``what``.
+
+    Decoders read image metadata through it.  A value of the wrong type
+    would otherwise fail later as an ``AttributeError`` or
+    ``TypeError``, which :class:`decode_guard` leaves alone: inside a
+    kernel those are programming errors, not corrupt input.
+    """
+    if not isinstance(value, kind):
+        raise CorruptedStreamError(
+            f"{what} is a {type(value).__name__}, not a {kind.__name__}",
+            category=CATEGORY_STRUCTURE,
+        )
+    return value
+
+
 def _count(where: str, category: str) -> None:
     rec = get_recorder()
     if rec.enabled:
@@ -140,4 +157,5 @@ __all__ = [
     "CATEGORY_VERSION",
     "CorruptedStreamError",
     "decode_guard",
+    "require_type",
 ]
