@@ -39,6 +39,7 @@ from repro.resilience.errors import (
     CATEGORY_STRUCTURE,
     CorruptedStreamError,
     decode_guard,
+    require_type,
 )
 
 DEFAULT_BLOCK_SIZE = 32
@@ -319,9 +320,11 @@ class X86SadcCodec:
         """
         from repro.core.sadc.x86_reassemble import reassemble_instruction
 
-        dictionary: X86Dictionary = image.metadata["dictionary"]
-        codes: Dict[str, HuffmanCode] = image.metadata["codes"]
         with decode_guard("sadc.x86.decompress_block"):
+            dictionary = require_type(
+                image.metadata["dictionary"], X86Dictionary, "SADC dictionary"
+            )
+            codes = require_type(image.metadata["codes"], dict, "SADC codes")
             expected = image.metadata["block_instruction_counts"][block_index]
             if expected > image.block_size:
                 # The per-block instruction count is a wire-declared
@@ -334,9 +337,12 @@ class X86SadcCodec:
                     category=CATEGORY_BUDGET,
                 )
             reader = BitReader(image.blocks[block_index])
-            token_decoder = HuffmanDecoder(codes["tokens"])
-            modrm_decoder = HuffmanDecoder(codes["modrm_sib"])
-            imm_decoder = HuffmanDecoder(codes["imm_disp"])
+            token_decoder, modrm_decoder, imm_decoder = (
+                HuffmanDecoder(
+                    require_type(codes[name], HuffmanCode, f"SADC {name} code")
+                )
+                for name in ("tokens", "modrm_sib", "imm_disp")
+            )
 
             opcode_entries: List[bytes] = []
             while len(opcode_entries) < expected:
