@@ -24,7 +24,7 @@ from repro.entropy.huffman import (
     HuffmanEncoder,
     build_code,
 )
-from repro.resilience.errors import decode_guard
+from repro.resilience.errors import decode_guard, require_type
 
 DEFAULT_BLOCK_SIZE = 32
 
@@ -93,8 +93,13 @@ class PositionalHuffmanCodec:
             # metadata key, a truncated payload (BitReader EOF), or a
             # symbol outside [0, 255] must surface as
             # CorruptedStreamError, never a low-level exception.
-            tables: List[HuffmanCode] = image.metadata["positional_tables"]
-            decoders = [HuffmanDecoder(table) for table in tables]
+            tables = require_type(
+                image.metadata["positional_tables"], list, "positional tables"
+            )
+            decoders = [
+                HuffmanDecoder(require_type(table, HuffmanCode, "positional table"))
+                for table in tables
+            ]
             reader = BitReader(image.blocks[block_index])
             out = bytearray()
             for index in range(count):
