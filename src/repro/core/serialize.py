@@ -227,6 +227,15 @@ _PROB_MODE_BYTES = {"full": 1, "full16": 2, "pow2": 1}
 #: contexts before a single table byte is read.
 _MAX_CONNECT_BITS = 16
 
+#: Most probability cells a SAMC model may hold across its streams.  The
+#: scalar decoder builds 118–140 bytes of Markov trees per cell (the
+#: more, the wider the streams), so this bounds what one archive can
+#: make a decode build at about 37 MB.  It admits every layout the
+#: repository trains: the largest, the stream ablation's two 16-bit
+#: streams with one connection bit, has 262,140 cells, and the paper's
+#: four 8-bit streams 2,040.
+_MAX_SAMC_CELLS = 1 << 18
+
 
 def _read_samc_model(reader: _Reader) -> Tuple[SamcModel, str]:
     width = reader.u8()
@@ -268,9 +277,18 @@ def _read_samc_model(reader: _Reader) -> Tuple[SamcModel, str]:
     tables = []
     contexts = 1 << connect_bits
     prob_bytes = _PROB_MODE_BYTES[mode]
+    cells = 0
     for stream in streams:
         nodes = (1 << len(stream)) - 1
         reader.check_budget(contexts * nodes, prob_bytes, "SAMC table")
+        cells += contexts * nodes
+        if cells > _MAX_SAMC_CELLS:
+            raise SerializationError(
+                f"SAMC tables: {cells} cells exceed the format maximum "
+                f"{_MAX_SAMC_CELLS}",
+                offset=reader.offset,
+                category=CATEGORY_BUDGET,
+            )
         table = _decode_table(reader, contexts * nodes, mode)
         # A probability of 0 (or PROB_ONE) collapses one half of the
         # range coder's interval, which the decode loop would spin on
