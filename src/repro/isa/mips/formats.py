@@ -205,26 +205,76 @@ class Instruction:
 
     def encode(self) -> int:
         """Pack the instruction into its 32-bit machine word."""
-        spec = self.spec
-        if spec.fmt == "J":
-            return (spec.op << 26) | (self.target & 0x3FFFFFF)
-        if spec.fmt == "R":
-            rs_field = spec.cop_fmt if spec.cop_fmt is not None else self.rs
-            return (
-                (spec.op << 26)
-                | ((rs_field & 0x1F) << 21)
-                | ((self.rt & 0x1F) << 16)
-                | ((self.rd & 0x1F) << 11)
-                | ((self.shamt & 0x1F) << 6)
-                | (spec.funct & 0x3F)
-            )
-        rt_field = spec.regimm_rt if spec.regimm_rt is not None else self.rt
+        return encode_fields(
+            self.spec, self.rs, self.rt, self.rd, self.shamt, self.imm, self.target
+        )
+
+
+def encode_fields(
+    spec: OpcodeSpec,
+    rs: int = 0,
+    rt: int = 0,
+    rd: int = 0,
+    shamt: int = 0,
+    imm: int = 0,
+    target: int = 0,
+) -> int:
+    """Pack field values into ``spec``'s 32-bit machine word.
+
+    Each field is masked to its width in :data:`FIELD_LAYOUTS`; the
+    fields ``spec``'s format lacks are ignored.  COP1 arithmetic carries
+    its ``cop_fmt`` in ``rs`` and a REGIMM branch its condition in
+    ``rt``, whatever those arguments hold.
+    """
+    if spec.fmt == "J":
+        return (spec.op << 26) | (target & 0x3FFFFFF)
+    if spec.fmt == "R":
+        if spec.cop_fmt is not None:
+            rs = spec.cop_fmt
         return (
             (spec.op << 26)
-            | ((self.rs & 0x1F) << 21)
-            | ((rt_field & 0x1F) << 16)
-            | (self.imm & 0xFFFF)
+            | ((rs & 0x1F) << 21)
+            | ((rt & 0x1F) << 16)
+            | ((rd & 0x1F) << 11)
+            | ((shamt & 0x1F) << 6)
+            | (spec.funct & 0x3F)
         )
+    if spec.regimm_rt is not None:
+        rt = spec.regimm_rt
+    return (
+        (spec.op << 26)
+        | ((rs & 0x1F) << 21)
+        | ((rt & 0x1F) << 16)
+        | (imm & 0xFFFF)
+    )
+
+
+def spec_of(word: int) -> OpcodeSpec:
+    """The :class:`OpcodeSpec` a 32-bit machine word encodes.
+
+    Raises :class:`ValueError` for encodings outside the modelled subset.
+    """
+    if not 0 <= word < (1 << 32):
+        raise ValueError(f"word {word:#x} is not a 32-bit value")
+    op = word >> 26
+    if op == OP_SPECIAL:
+        spec = _DECODE_R.get((op, word & 0x3F, None))
+        if spec is None:
+            raise ValueError(f"unknown SPECIAL funct {word & 0x3F:#x}")
+    elif op == OP_COP1:
+        fmt = (word >> 21) & 0x1F
+        spec = _DECODE_R.get((op, word & 0x3F, fmt))
+        if spec is None:
+            raise ValueError(f"unknown COP1 funct {word & 0x3F:#x} fmt {fmt:#x}")
+    elif op == OP_REGIMM:
+        spec = _DECODE_REGIMM.get((word >> 16) & 0x1F)
+        if spec is None:
+            raise ValueError(f"unknown REGIMM rt {(word >> 16) & 0x1F:#x}")
+    else:
+        spec = _DECODE_I.get(op)
+        if spec is None:
+            raise ValueError(f"unknown opcode {op:#x}")
+    return spec
 
 
 def decode(word: int) -> Instruction:
@@ -232,35 +282,17 @@ def decode(word: int) -> Instruction:
 
     Raises :class:`ValueError` for encodings outside the modelled subset.
     """
-    if not 0 <= word < (1 << 32):
-        raise ValueError(f"word {word:#x} is not a 32-bit value")
-    op = (word >> 26) & 0x3F
+    spec = spec_of(word)
     rs = (word >> 21) & 0x1F
     rt = (word >> 16) & 0x1F
-    rd = (word >> 11) & 0x1F
-    shamt = (word >> 6) & 0x1F
-    funct = word & 0x3F
-    imm = word & 0xFFFF
-    target = word & 0x3FFFFFF
-
-    if op == OP_SPECIAL:
-        spec = _DECODE_R.get((op, funct, None))
-        if spec is None:
-            raise ValueError(f"unknown SPECIAL funct {funct:#x}")
+    if spec.fmt == "R":
+        rd = (word >> 11) & 0x1F
+        shamt = (word >> 6) & 0x1F
+        if spec.cop_fmt is not None:
+            return Instruction(spec, rt=rt, rd=rd, shamt=shamt)
         return Instruction(spec, rs=rs, rt=rt, rd=rd, shamt=shamt)
-    if op == OP_COP1:
-        spec = _DECODE_R.get((op, funct, rs))
-        if spec is None:
-            raise ValueError(f"unknown COP1 funct {funct:#x} fmt {rs:#x}")
-        return Instruction(spec, rt=rt, rd=rd, shamt=shamt)
-    if op == OP_REGIMM:
-        spec = _DECODE_REGIMM.get(rt)
-        if spec is None:
-            raise ValueError(f"unknown REGIMM rt {rt:#x}")
-        return Instruction(spec, rs=rs, imm=imm)
-    spec = _DECODE_I.get(op)
-    if spec is None:
-        raise ValueError(f"unknown opcode {op:#x}")
     if spec.fmt == "J":
-        return Instruction(spec, target=target)
-    return Instruction(spec, rs=rs, rt=rt, imm=imm)
+        return Instruction(spec, target=word & 0x3FFFFFF)
+    if spec.regimm_rt is not None:
+        return Instruction(spec, rs=rs, imm=word & 0xFFFF)
+    return Instruction(spec, rs=rs, rt=rt, imm=word & 0xFFFF)

@@ -17,10 +17,19 @@ from typing import List
 
 from repro.isa.x86.formats import X86Instruction
 from repro.workloads.profiles import BenchmarkProfile
-from repro.workloads.sampling import ZipfSampler, weighted_choice
+from repro.workloads.sampling import WeightedTable, ZipfSampler, weighted_choice
 
 #: IA-32 GPR numbers in rough descending order of compiled-code use.
 _REGISTER_PREFERENCE = (0, 5, 1, 2, 3, 6, 7)  # eax, ebp, ecx, edx, ebx, esi, edi
+
+
+_ALU_REG_OPCODES = WeightedTable(
+    [(5, 0x01), (2, 0x29), (2, 0x31), (3, 0x39), (2, 0x21), (1, 0x09),
+     (3, 0x85), (4, 0x89), (3, 0x8B)]
+)
+_ALU_IMM8_GROUPS = WeightedTable([(5, 0), (2, 5), (3, 7), (1, 4)])
+_CONDITIONS = WeightedTable([(4, 4), (4, 5), (2, 12), (2, 15), (1, 2), (1, 14)])
+_TERMINATORS = WeightedTable([(5, "jcc"), (2, "call"), (3, "none")])
 
 
 def _modrm(mod: int, reg: int, rm: int) -> int:
@@ -85,17 +94,13 @@ class X86Generator:
         )
 
     def _gen_alu_reg(self) -> X86Instruction:
-        opcode = weighted_choice(
-            self._rng,
-            [(5, 0x01), (2, 0x29), (2, 0x31), (3, 0x39), (2, 0x21), (1, 0x09),
-             (3, 0x85), (4, 0x89), (3, 0x8B)],
-        )
+        opcode = _ALU_REG_OPCODES.draw(self._rng)
         return X86Instruction(
             opcode=bytes([opcode]), modrm=_modrm(3, self._reg(), self._reg())
         )
 
     def _gen_alu_imm8(self) -> X86Instruction:
-        group = weighted_choice(self._rng, [(5, 0), (2, 5), (3, 7), (1, 4)])
+        group = _ALU_IMM8_GROUPS.draw(self._rng)
         imm = self._rng.choice([1, 1, 2, 4, 4, 8, 16, 0x10, 0x3F])
         return X86Instruction(
             opcode=b"\x83",
@@ -120,9 +125,7 @@ class X86Generator:
         return X86Instruction(opcode=bytes([base + self._reg()]))
 
     def _gen_jcc(self) -> X86Instruction:
-        cc = weighted_choice(
-            self._rng, [(4, 4), (4, 5), (2, 12), (2, 15), (1, 2), (1, 14)]
-        )
+        cc = _CONDITIONS.draw(self._rng)
         magnitude = self._rng.randrange(2, 48)
         if self._rng.random() < 0.55:
             magnitude = -magnitude
@@ -151,19 +154,8 @@ class X86Generator:
     def _fresh_block(self) -> List[X86Instruction]:
         rng = self._rng
         length = rng.randrange(3, 9)
-        table = [
-            (0.24, self._gen_load),
-            (0.13, self._gen_store),
-            (0.22, self._gen_alu_reg),
-            (0.12, self._gen_alu_imm8),
-            (0.07, self._gen_mov_imm32),
-            (0.08, self._gen_push_pop),
-            (0.05, self._gen_inc_dec),
-            (0.04, self._gen_lea),
-            (0.03, self._gen_movzx),
-        ]
-        block = [weighted_choice(rng, table)() for _ in range(length)]
-        terminator = weighted_choice(rng, [(5, "jcc"), (2, "call"), (3, "none")])
+        block = [_KINDS.draw(rng)(self) for _ in range(length)]
+        terminator = _TERMINATORS.draw(rng)
         if terminator == "jcc":
             block.append(self._gen_jcc())
         elif terminator == "call":
@@ -236,3 +228,17 @@ class X86Generator:
         for instruction in self.generate_instructions():
             code.extend(instruction.encode())
         return bytes(code)
+
+
+#: The instruction mix, as unbound methods.
+_KINDS = WeightedTable([
+    (0.24, X86Generator._gen_load),
+    (0.13, X86Generator._gen_store),
+    (0.22, X86Generator._gen_alu_reg),
+    (0.12, X86Generator._gen_alu_imm8),
+    (0.07, X86Generator._gen_mov_imm32),
+    (0.08, X86Generator._gen_push_pop),
+    (0.05, X86Generator._gen_inc_dec),
+    (0.04, X86Generator._gen_lea),
+    (0.03, X86Generator._gen_movzx),
+])
