@@ -12,7 +12,7 @@ tunable from tight-loop (~99% hits) to branchy (~80%).
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from array import array
 
 
 def generate_trace(
@@ -21,27 +21,30 @@ def generate_trace(
     seed: int = 0,
     mean_loop_bytes: int = 256,
     mean_iterations: int = 24,
-) -> Iterator[int]:
-    """Yield ``length`` word-aligned fetch addresses within the program.
+) -> array:
+    """Return ``length`` word-aligned fetch addresses within the program,
+    as an ``array('I')``.
 
     ``mean_loop_bytes`` controls working-set size (bigger loops overflow
     the cache more) and ``mean_iterations`` controls reuse (more
-    iterations raise the hit ratio).
+    iterations raise the hit ratio).  Each loop draws its size, its
+    start and its iteration count, in that order; its words are built
+    once and appended once per iteration, and the trace is cut to
+    ``length``.
     """
     if code_size < 8:
         raise ValueError("code_size too small to trace")
     rng = random.Random(seed)
-    emitted = 0
-    while emitted < length:
+    trace = array("I")
+    while len(trace) < length:
         loop_bytes = max(8, int(rng.expovariate(1.0 / mean_loop_bytes)))
         loop_bytes = min(loop_bytes, code_size)
         start = rng.randrange(0, max(1, code_size - loop_bytes)) & ~3
         iterations = max(1, int(rng.expovariate(1.0 / mean_iterations)))
+        words = array("I", range(start, start + loop_bytes, 4))
         for _ in range(iterations):
-            address = start
-            while address < start + loop_bytes and emitted < length:
-                yield address
-                emitted += 1
-                address += 4
-            if emitted >= length:
-                return
+            trace.extend(words)
+            if len(trace) >= length:
+                break
+    del trace[length:]
+    return trace
