@@ -37,6 +37,7 @@ from repro.service.registry import WarmModelRegistry
 from repro.workloads.suite import generate_benchmark
 from tests.oracles import (
     BinaryArithmeticEncoder,
+    _encode_reference,
     _lzw_compress_reference,
     _tokenize_reference,
     samc_compress,
@@ -211,6 +212,42 @@ def test_samc_encode_blocks_vec_vs_scalar(data, words_per_block):
     with _env(REPRO_BATCH_MIN="1"):
         vec = model.encode_blocks(walk)
     assert vec == scalar == expected
+
+
+@pytest.mark.parametrize("mode", ["full", "full16", "pow2"])
+@pytest.mark.parametrize("words", [8, 16, 15, 9, None], ids=[
+    "one block", "two blocks", "short by one word", "short by seven",
+    "whole program",
+])
+def test_samc_lockstep_encoder_matches_reference(mode, words):
+    """The lockstep encoder, forced, gives the reference encoder's
+    bytes on one and two full blocks, on a last block one word or
+    seven words short (coded by the scalar loop beside it), and on a
+    whole program, in every probability mode."""
+    codec = SamcCodec.for_mips(probability_mode=mode)
+    code = generate_benchmark("go", "mips", 0.1, 0).code
+    if words is not None:
+        code = code[: 4 * words]
+    expected = samc_compress(codec, code)[1]
+    with _env(REPRO_BATCH_MIN="1"):
+        assert codec.compress(code).blocks == expected
+    with _env(REPRO_BATCH_MIN="10000"):
+        assert codec.compress(code).blocks == expected
+
+
+@pytest.mark.parametrize("mode", ["full", "full16", "pow2"])
+def test_samc_lockstep_encodes_improbable_words(mode):
+    """Random words coded against a model trained on a program take
+    branches the model finds improbable, so blocks shift twice or
+    underflow within one bit: the lockstep encoder's rare second shift
+    round.  It emits the reference encoder's bytes."""
+    codec = SamcCodec.for_mips(probability_mode=mode)
+    model = codec.train(generate_benchmark("go", "mips", 0.5, 0).code)
+    rand = random.Random(5)
+    code = bytes(rand.getrandbits(8) for _ in range(4 * 8 * 24))
+    expected = _encode_reference(codec, model, code, NullRecorder())
+    with _env(REPRO_BATCH_MIN="1"):
+        assert codec.compress_with_model(code, model).blocks == expected
 
 
 def test_samc_encode_dispatch_boundary_matches_reference(monkeypatch):
