@@ -288,7 +288,10 @@ def run_tests(
             process.wait()
             return "timeout", time.monotonic() - started
         seconds = time.monotonic() - started
-        if code in (4, 5):  # usage error, or no tests collected
+        # Usage error, or no tests collected: on the unmutated tree a
+        # misconfigured run.  A mutant gets status 4 when it makes a
+        # conftest fail to import, which detects it.
+        if code in (4, 5) and patch is None:
             raise RuntimeError(f"pytest exited {code}: check --tests")
         return ("passed" if code == 0 else "failed"), seconds
     finally:

@@ -113,3 +113,19 @@ def test_runner_kills_survives_and_times_out(tree):
     text = runner.render(report)
     assert "kill rate: 66.7% (2 / 3)" in text
     assert "survived: smaller:compare:0" in text
+
+
+def test_a_mutant_that_breaks_the_test_set_up_is_killed(tree):
+    """A mutant that makes a conftest fail to import stops pytest before
+    any test runs, with exit status 4.  On a mutant that status is a
+    detection; on the unmutated tree it still means a misconfigured run."""
+    (tree / "tests" / "conftest.py").write_text(
+        "from toy import smaller\n\nassert smaller(1, 2) == 1\n"
+    )
+    report = runner.run(
+        tree, ["src/toy.py"], ["tests/test_toy.py"],
+        functions=["smaller"], hypothesis_seed=1,
+    )
+    assert set(report["killed"]) == {"smaller:compare:1", "smaller:pass:0"}
+    with pytest.raises(RuntimeError, match="check --tests"):
+        runner.run(tree, ["src/toy.py"], ["tests/missing.py"])
