@@ -84,9 +84,11 @@ def train_model(
     """Train a model on a program; return it with the walk it counted.
 
     One :func:`~repro.fastpath.samc_kernel.walk_program`, one
-    :func:`numpy.bincount` over the walk's ``(cell, bit)`` events and
-    one :func:`freeze` fill every stream's table: the same events as the
-    reference trainer's per-bit counts (``tests/oracles.py``).
+    :func:`numpy.bincount` over the walk's ``(cell, bit)`` events, the
+    ``int32`` index ``2 * cell + bit``, and one :func:`freeze` fill every
+    stream's table: the same events as the reference trainer's per-bit
+    counts (``tests/oracles.py``).  The layout check bounds the cells,
+    so the index stays inside ``int32``.
     """
     specs = stream_specs(width, streams, connect_bits)
     walk = walk_program(width, specs, connect_bits, words, words_per_block)

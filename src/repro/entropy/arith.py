@@ -13,7 +13,9 @@ The coder runs fused with the Markov walk in
 :mod:`repro.fastpath.samc_kernel`.  Its one-call-per-bit form, the
 executable version of the paper's pseudocode, is the reference coder in
 ``tests/oracles.py``.  This module holds what the two share: the 16-bit
-probability scale, the quantisers and the block flush.
+probability scale and the quantisers.  It also holds the block flush,
+taken for every block of an image at once (:func:`flush_blocks`); the
+oracle's one-block flush is pinned to it.
 
 Probabilities are quantised to 16 bits (``PROB_ONE == 1 << 16``).  The
 paper's shift-only hardware variant constrains the less-probable symbol's
@@ -23,6 +25,10 @@ probability to a power of 1/2 (Witten et al. bound the efficiency loss at
 from __future__ import annotations
 
 import math
+from typing import Tuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 PROB_BITS = 16
 PROB_ONE = 1 << PROB_BITS
@@ -76,25 +82,31 @@ def quantize_power_of_two(p0: float) -> int:
     return PROB_ONE - max(1, lps_q)
 
 
-def flush_interval(low: int, range_: int, out: bytearray) -> None:
-    """Append the shortest byte prefix of a value in ``[low, low+range)``.
+def flush_blocks(
+    low: ArrayLike, range_: ArrayLike
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The flush of every block at once, from its final ``low`` and ``range``.
 
-    The SAMC coder kernels (:mod:`repro.fastpath.samc_kernel`) end every
-    block with it, and so does the reference encoder the tests keep
-    (``tests/oracles.py``), so both terminate blocks with the identical
-    byte sequence by construction.
+    A block ends with the shortest byte prefix of a value in ``[low,
+    low + range)``: the decoder reads zeros past the end of a payload,
+    so the prefix stands for that value padded with zero bytes.  Block
+    ``i``'s prefix is the first ``counts[i]`` bytes of ``heads[i]``.
+    ``counts[i]`` is 0 only when ``low`` is 0; otherwise it is the least
+    ``n`` in 1..4 for which ``low``, rounded up to a multiple of
+    ``2**(32 - 8n)``, lies below ``low + range`` (``n = 4`` rounds
+    nothing, and ``range >= 1``).  A coarser rounding never lands lower,
+    so the ``n`` that fit are exactly those from the least one up.
+    ``heads[i]`` holds that rounded value big-endian.  Every coder state
+    has ``low + range <= 2**32``; the sums are taken in ``uint64``, so
+    rounding up to ``2**32`` cannot wrap.
     """
-    top = low + range_
-    for nbytes in range(5):
-        shift = 32 - 8 * nbytes
-        if shift >= 33:  # pragma: no cover - nbytes starts at 0
-            continue
-        step = 1 << shift if shift < 33 else 0
-        value = ((low + step - 1) >> shift) << shift if shift else low
-        if low <= value < top or (value == low == 0):
-            for byte_index in range(nbytes):
-                out.append((value >> (24 - 8 * byte_index)) & 0xFF)
-            return
-    raise AssertionError(  # pragma: no cover - nbytes=4 always succeeds
-        "flush failed to find an in-interval value"
-    )
+    low = np.asarray(low, dtype=np.uint64)
+    top = low + np.asarray(range_, dtype=np.uint64)
+    counts = np.full(low.shape, 4, dtype=np.uint64)
+    for n in (3, 2, 1):  # the least n that fits is written last
+        shift = 32 - 8 * n
+        counts[(low + (1 << shift) - 1) >> shift << shift < top] = n
+    counts[low == 0] = 0
+    shift = 32 - 8 * counts
+    heads = (low + (1 << shift) - 1) >> shift << shift
+    return counts.astype(np.intp), heads.astype(">u4").view(np.uint8).reshape(-1, 4)

@@ -25,8 +25,9 @@ path the codec runs, removes all of it:
   for a 0-bit, ``-p0`` for a 1-bit.  Each block's span of that one list
   runs a single tight Python loop of the carry-less range coder, whose
   split's sign is the bit, appending renormalisation bytes straight into
-  a ``bytearray``.  The final flush is the *same function* the reference
-  encoder uses (:func:`repro.entropy.arith.flush_interval`).
+  a ``bytearray``.  Every block's final ``(low, range)`` is flushed by
+  one :func:`repro.entropy.arith.flush_blocks` call, which is pinned to
+  the reference encoder's one-block flush.
 * **Decoding** (:meth:`SamcModel.decode_block`) — inherently
   sequential (each decoded bit steers the walk), so the win comes from
   spending fewer Python operations per coded bit.  The range decoder is
@@ -58,7 +59,9 @@ path the codec runs, removes all of it:
   bit matrix and the gathered probability matrix of the full blocks are
   transposed to bit-major order and all blocks' range coders advance
   together, with renormalisation bytes stored at per-block cursors in
-  one output row per block; a short last block runs the scalar loop.
+  one output row per block, and the flush bytes of one
+  :func:`~repro.entropy.arith.flush_blocks` call after them; a short
+  last block runs the scalar loop.
 
 The lockstep step has a fixed numpy-call cost per scheduled bit that is
 (nearly) independent of the batch size, while the scalar loops scale
@@ -84,7 +87,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_interval
+from repro.entropy.arith import PROB_BITS, PROB_ONE, flush_blocks
 from repro.obs import get_recorder
 from repro.resilience.errors import CATEGORY_STRUCTURE, CorruptedStreamError
 
@@ -108,6 +111,10 @@ DEFAULT_ENCODE_BATCH_MIN = 96
 #: Streams deeper than this would need oversized prefix-deposit LUTs
 #: (2**k entries); no real configuration comes close, but stay safe.
 _MAX_LUT_DEPTH = 12
+
+#: Most table cells a stream layout may have: the walk's cells are
+#: ``int32``, and training counts the index ``2 * cell + bit``.
+_MAX_CELLS = 1 << 30
 
 
 def batch_min(default: int = DEFAULT_BATCH_MIN) -> int:
@@ -146,8 +153,10 @@ def stream_specs(
     """The layout of a ``width``-bit word's streams, checked.
 
     The streams must partition the word's bit positions, each covering
-    at least one bit, and ``connect_bits`` must be non-negative; a
-    ``ValueError`` says which rule failed.
+    at least one bit, ``connect_bits`` must be non-negative, and the
+    tables, one tree of ``2**k - 1`` cells per stream and context, may
+    hold at most :data:`_MAX_CELLS` cells in all; a ``ValueError`` says
+    which rule failed.
     """
     if connect_bits < 0:
         raise ValueError("connect_bits must be non-negative")
@@ -159,15 +168,22 @@ def stream_specs(
     specs = [StreamSpec(tuple(stream)) for stream in streams]
     if any(spec.k == 0 for spec in specs):
         raise ValueError("stream must cover at least one bit")
+    cells = sum(((1 << spec.k) - 1) << connect_bits for spec in specs)
+    if cells > _MAX_CELLS:
+        raise ValueError(
+            f"streams need {cells} table cells, more than the {_MAX_CELLS} "
+            "a walk can index"
+        )
     return specs
 
 
 class SamcWalk(NamedTuple):
     """A program's Markov walk: every coded bit and the cell predicting it.
 
-    ``bits`` and ``cells`` are ``(n_words, width)`` int64 matrices in
-    coding order (stream by stream, depth by depth).  A cell indexes the
-    model's stream tables laid end to end: the bit stream ``s`` codes at
+    ``bits`` (``uint8``) and ``cells`` (``int32``) are ``(n_words,
+    width)`` matrices in coding order (stream by stream, depth by
+    depth).  A cell indexes the model's stream tables laid end to end:
+    the bit stream ``s`` codes at
     depth ``d`` under context ``c`` after the prefix ``p`` is predicted
     by cell ``offset[s] + c * nodes[s] + (1 << d) - 1 + p``, where
     ``offset[s]`` counts the cells of the streams before it.  Training
@@ -192,22 +208,28 @@ def walk_program(
     Only the stream layout is read, so a program is walked before its
     model is trained.  The walk visits exactly the (context, node, bit)
     triples of the reference walk (``tests/oracles.py``), with the
-    context reset at every cache-block boundary.  Each stream's bits are
-    read as one integer ``value``; the prefix before depth ``d`` is
-    ``value >> (k - d)``, and the value's low ``connect_bits`` bits are
-    the next stream's context.
+    context reset at every cache-block boundary.  A word's bits are one
+    ``numpy.unpackbits`` of its own big-endian bytes, gathered into
+    coding order only when the streams do not take the positions in
+    order.  Each stream's bits are read as one integer ``value``; the
+    prefix before depth ``d`` is ``value >> (k - d)``, so the heap node
+    ``(1 << d) - 1 + prefix`` is ``((value | 1 << k) >> (k - d)) - 1``,
+    and the value's low ``connect_bits`` bits are the next stream's
+    context.  :func:`stream_specs`' cell bound keeps every value and
+    cell inside ``int32``.
     """
-    arr = np.asarray(words, dtype=np.int64)
-    ks = np.array([spec.k for spec in specs], dtype=np.int64)
+    nbytes = -(-width // 8)
+    lanes = np.asarray(words, dtype=np.int64).astype(">u8").view(np.uint8)
+    bits = np.unpackbits(lanes.reshape(-1, 8)[:, 8 - nbytes :], axis=1)
+    columns = [8 * nbytes - width + p for spec in specs for p in spec.positions]
+    if columns != list(range(8 * nbytes)):
+        bits = bits[:, columns]
+    ks = np.array([spec.k for spec in specs], dtype=np.int32)
     stream = np.repeat(np.arange(len(specs)), ks)  # column -> stream
-    depth = np.concatenate([np.arange(k, dtype=np.int64) for k in ks])
-    shifts = np.array(
-        [width - 1 - p for spec in specs for p in spec.positions], dtype=np.int64
-    )
-    bits = (arr[:, None] >> shifts) & 1
+    depth = np.concatenate([np.arange(k, dtype=np.int32) for k in ks])
     starts = np.cumsum(ks) - ks
     values = np.add.reduceat(
-        bits << (ks[stream] - 1 - depth), starts, axis=1
+        bits * (1 << (ks[stream] - 1 - depth)), starts, axis=1, dtype=np.int32
     )
     tails = values & ((1 << np.minimum(connect_bits, ks)) - 1)
     contexts = np.empty_like(values)
@@ -216,10 +238,11 @@ def walk_program(
     contexts[::words_per_block, 0] = 0  # context resets at block starts
     nodes = (1 << ks) - 1
     sizes = nodes << connect_bits  # one tree per context
-    offsets = np.cumsum(sizes) - sizes
-    cells = values[:, stream] >> (ks[stream] - depth)
-    cells += contexts[:, stream] * nodes[stream]
-    cells += offsets[stream] + (1 << depth) - 1
+    contexts *= nodes
+    contexts += np.cumsum(sizes) - sizes - 1  # the stream's offset, less 1
+    cells = np.repeat(values | (1 << ks), ks, axis=1)
+    cells >>= ks[stream] - depth
+    cells += np.repeat(contexts, ks, axis=1)
     return SamcWalk(bits, cells, words_per_block)
 
 
@@ -366,12 +389,12 @@ class SamcModel:
     # -- coder tables ---------------------------------------------------
 
     def _compile_encode(self) -> np.ndarray:
-        """Every stream's table laid end to end, which a walk's cells
-        index (cached)."""
+        """Every stream's table laid end to end as ``int32``, which a
+        walk's cells index (cached)."""
         if self._flat_tables is None:
             self._flat_tables = np.concatenate(
                 [table.ravel() for table in self.tables]
-            )
+            ).astype(np.int32)
         return self._flat_tables
 
     def _compile_decode(self) -> list:
@@ -433,13 +456,14 @@ class SamcModel:
         tables laid end to end.  From :data:`DEFAULT_ENCODE_BATCH_MIN`
         blocks up the lockstep encoder codes the full blocks; every
         other block's span goes to :func:`_encode_span` as one signed
-        list, ``p0`` for a 0-bit and ``-p0`` for a 1-bit.
+        list, ``p0`` for a 0-bit and ``-p0`` for a 1-bit, and those
+        blocks are flushed together (:func:`_flush_spans`).
         """
         n, width = walk.bits.shape
         if n == 0:
             return []
         words_per_block = walk.words_per_block
-        probs = self._compile_encode().take(walk.cells)
+        flat = self._compile_encode()
         rec = get_recorder()
         payloads: List[bytes] = []
         full = 0
@@ -449,17 +473,17 @@ class SamcModel:
             full = n - n % words_per_block
         if full:
             payloads = _encode_blocks_vec(
-                walk.bits[:full], probs[:full], words_per_block
+                walk.bits[:full], walk.cells[:full], flat, words_per_block
             )
-        bits = walk.bits[full:]
-        signed = np.where(bits, -probs[full:], probs[full:]).ravel().tolist()
+        probs = flat.take(walk.cells[full:])
+        signed = np.where(walk.bits[full:], -probs, probs).ravel().tolist()
         step = words_per_block * width
         spans = [
             signed[start : start + step] for start in range(0, len(signed), step)
         ]
         if rec.enabled:
             return self._encode_blocks_instrumented(rec, spans, n)
-        payloads.extend(_encode_span(span) for span in spans)
+        payloads += _flush_spans([_encode_span(span) for span in spans])
         return payloads
 
     def _encode_blocks_instrumented(self, rec, spans, n) -> List[bytes]:
@@ -472,16 +496,13 @@ class SamcModel:
             for depth in range(spec.k)
         ]
         per_label: dict = {}
-        flush_bits = 0
-        payloads: List[bytes] = []
-        for span in spans:
-            payload, block_flush = _encode_span_obs(span, labels, per_label)
-            flush_bits += block_flush
-            payloads.append(payload)
+        coded = [_encode_span_obs(span, labels, per_label) for span in spans]
+        renormalised = sum(len(out) for out, _, _ in coded)
+        payloads = _flush_spans(coded)
         for (stream, depth), bits in sorted(per_label.items()):
             rec.add_bits(f"stream{stream}", bits)
             rec.count(f"samc.stream{stream}.depth{depth}.bits", bits)
-        rec.add_bits("flush", flush_bits)
+        rec.add_bits("flush", 8 * (sum(map(len, payloads)) - renormalised))
         rec.count("samc.blocks_encoded", len(payloads))
         rec.count("samc.words_encoded", n)
         return payloads
@@ -735,43 +756,50 @@ class SamcModel:
 
 
 def _encode_blocks_vec(
-    bits_mat: np.ndarray, probs_mat: np.ndarray, words_per_block: int
+    bits_mat: np.ndarray,
+    cells_mat: np.ndarray,
+    flat: np.ndarray,
+    words_per_block: int,
 ) -> List[bytes]:
     """Lockstep batch range encoder over whole blocks: all blocks
     advance one bit at a time.
 
     The mirror image of :meth:`SamcModel._decode_blocks_vec`.  The
-    walk's bits and their gathered probabilities, which cover whole
-    blocks only (the caller codes a short last block with
-    :func:`_encode_span`), are reshaped to (block, bit) and transposed
-    to bit-major order, as ``bool`` and ``uint32``, so per scheduled bit
-    the inputs are contiguous row views and the only work is the
-    vectorised coder step.  The coder arrays are ``uint32``: the
-    encoder's ``(low, rng)`` trajectory is the decoder's, so the
-    decoder's docstring shows that a bit needs no mask, that ``low +
-    rng`` wraps only where the wrapped sum reads unsettled too, and
-    that a block needs a second shift round only if ``min(x, rng) <
-    2**16`` after the first, with ``x = low ^ (low + rng)`` taken
-    before it.
+    walk's bits and cells, which cover whole blocks only (the caller
+    codes a short last block with :func:`_encode_span`), are reshaped to
+    (block, bit) and transposed to bit-major order: the bits viewed as
+    ``bool``, and the ``int32`` cells as the index of one gather from
+    ``flat``, the model's ``int32`` tables laid end to end, whose
+    probabilities, every one in ``[1, 2**16 - 1]``, are viewed as
+    ``uint32``.  So per scheduled bit the inputs are contiguous row
+    views and the only work is the vectorised coder step.  The coder
+    arrays are ``uint32``: the encoder's ``(low, rng)`` trajectory is
+    the decoder's, so the decoder's docstring shows that a bit needs no
+    mask, that ``low + rng`` wraps only where the wrapped sum reads
+    unsettled too, and that a block needs a second shift round only if
+    ``min(x, rng) < 2**16`` after the first, with ``x = low ^ (low +
+    rng)`` taken before it.
 
     Each round writes ``low >> 24`` at every block's cursor and
     advances the cursors of the blocks that shift.  A row holds 2
     bytes per coded bit, a hard bound since quantised probabilities
     are at least ``2**-16``, so a stray byte stays inside its row,
     where the block's next byte overwrites it or the final slice drops
-    it.  Each block finishes with the *same* :func:`flush_interval` the
-    scalar encoders use, so payloads are byte-identical to
+    it.  After the last bit, one :func:`flush_blocks` call finishes
+    every block: its four flush bytes are written at its cursor, inside
+    the row's 8 spare bytes, and one slice per block keeps the ones the
+    flush counts, so payloads are byte-identical to
     :func:`_encode_span`'s.
     """
     width = bits_mat.shape[1]
     block_bits = words_per_block * width
     n_blocks = bits_mat.shape[0] // words_per_block
-    # Cast, then transpose: the transpose moves 1- and 4-byte items.
     bits_bm = np.ascontiguousarray(
-        bits_mat.astype(bool).reshape(n_blocks, block_bits).T
+        bits_mat.view(bool).reshape(n_blocks, block_bits).T
     )
-    probs_bm = np.ascontiguousarray(
-        probs_mat.astype(np.uint32).reshape(n_blocks, block_bits).T
+    # ``take`` through the transposed view writes its rows in order.
+    probs_bm = flat.take(cells_mat.reshape(n_blocks, block_bits).T).view(
+        np.uint32
     )
 
     cap = 2 * block_bits + 8
@@ -827,18 +855,32 @@ def _encode_blocks_vec(
             less(t1, bot, out=shift_in)
             if not nonzero(shift_in):
                 break
+    counts, heads = flush_blocks(low, rng)
+    out[opos[:, None] + np.arange(4)] = heads
     raw = out.tobytes()
-    payloads: List[bytes] = []
-    for base, end, low_i, rng_i in zip(
-        range(0, n_blocks * cap, cap), opos.tolist(), low.tolist(), rng.tolist()
-    ):
-        buf = bytearray(raw[base:end])
-        flush_interval(low_i, rng_i, buf)
-        payloads.append(bytes(buf))
+    ends = (opos + counts).tolist()
+    return [raw[base:end] for base, end in zip(range(0, len(raw), cap), ends)]
+
+
+def _flush_spans(coded: List[Tuple[bytearray, int, int]]) -> List[bytes]:
+    """Finish scalar-coded blocks with one :func:`flush_blocks` call.
+
+    ``coded`` holds each block's renormalisation bytes and final
+    ``(low, rng)``, as :func:`_encode_span` returns them; each block's
+    flush bytes are appended to its own.
+    """
+    if not coded:
+        return []
+    outs, lows, rngs = zip(*coded)
+    counts, heads = flush_blocks(lows, rngs)
+    payloads = []
+    for out, head, count in zip(outs, heads.tolist(), counts.tolist()):
+        out += bytes(head[:count])
+        payloads.append(bytes(out))
     return payloads
 
 
-def _encode_span(signed: List[int]) -> bytes:
+def _encode_span(signed: List[int]) -> Tuple[bytearray, int, int]:
     """Range-encode one block's span of signed probabilities.
 
     ``signed`` holds ``p0`` for each 0-bit and ``-p0`` for each 1-bit,
@@ -853,11 +895,11 @@ def _encode_span(signed: List[int]) -> bytes:
     the reference's ``low += split'; rng -= split'`` with ``split' =
     -split``.
 
-    Renormalisation bytes are appended directly to the output
-    ``bytearray``, and the block ends with the shared
-    :func:`flush_interval`, so the payload matches the reference encoder
-    byte for byte.  The encoder's (low, rng) trajectory is the one
-    :meth:`SamcModel.decode_block` walks, so its proof holds
+    Renormalisation bytes are appended directly to a ``bytearray``,
+    which is returned with the final ``(low, rng)`` for
+    :func:`_flush_spans` to finish, so the payload matches the reference
+    encoder byte for byte.  The encoder's (low, rng) trajectory is the
+    one :meth:`SamcModel.decode_block` walks, so its proof holds
     here: ``low + rng <= 2**32`` throughout, and renormalisation can
     only shift while ``rng < 2**24``.  Hence the loop is entered only
     there, and neither ``low - split``, ``low >> 24`` nor ``rng << 8``
@@ -883,19 +925,18 @@ def _encode_span(signed: List[int]) -> bytes:
             append(low >> 24)
             low = (low << 8) & mask
             rng <<= 8
-    flush_interval(low, rng, out)
-    return bytes(out)
+    return out, low, rng
 
 
 def _encode_span_obs(
     signed: List[int], labels: List[tuple], per_label: dict
-) -> Tuple[bytes, int]:
+) -> Tuple[bytearray, int, int]:
     """:func:`_encode_span` with bit attribution (obs-on path only).
 
-    Identical coding loop; after each coded bit the renormalisation
-    bytes just appended are charged (as bits) to that bit's
-    ``(stream, depth)`` label in ``per_label``.  Returns the payload and
-    the flush size in bits, which the caller accounts separately.
+    Identical coding loop and return; after each coded bit the
+    renormalisation bytes just appended are charged (as bits) to that
+    bit's ``(stream, depth)`` label in ``per_label``.  The flush bytes
+    are the caller's to charge.
     """
     mask, top, bot, prob_bits = _MASK, _TOP, _BOT, PROB_BITS
     low = 0
@@ -925,6 +966,4 @@ def _encode_span_obs(
             label = labels[position % n_labels]
             per_label[label] = per_label.get(label, 0) + emitted * 8
         position += 1
-    coded = len(out)
-    flush_interval(low, rng, out)
-    return bytes(out), (len(out) - coded) * 8
+    return out, low, rng

@@ -13,7 +13,8 @@ call these functions directly and compare with production.
   its own; :func:`walk_encode` and :func:`walk_decode` ask the model's
   tables for each bit's prediction (:func:`p0_quantized`).
   :class:`BinaryArithmeticEncoder` and :class:`BinaryArithmeticDecoder`
-  are the carry-less range coder, one method call per bit.
+  are the carry-less range coder, one method call per bit, and
+  :func:`flush_interval` ends one block.
   :func:`_encode_reference` is the whole encoder, with the
   per-``(stream, depth)`` bit accounting of :func:`_counting_emit` when
   telemetry is on.  :func:`encode_probability` and
@@ -54,12 +55,7 @@ from repro.baselines.lzw import CLEAR_CODE, FIRST_CODE, MAX_BITS, MIN_BITS
 from repro.bitstream.fields import chunk_words, words_to_bytes
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.samc.model import Quantizer, SamcModel, node_index
-from repro.entropy.arith import (
-    PROB_BITS,
-    PROB_ONE,
-    flush_interval,
-    quantize_probability,
-)
+from repro.entropy.arith import PROB_BITS, PROB_ONE, quantize_probability
 from repro.fastpath.samc_kernel import StreamSpec
 from repro.memory.cache import CacheStats
 from repro.obs import get_recorder
@@ -72,6 +68,26 @@ _MASK = 0xFFFFFFFF
 
 # ---------------------------------------------------------------------------
 # The binary range coder
+
+
+def flush_interval(low: int, range_: int, out: bytearray) -> None:
+    """Append the shortest byte prefix of a value in ``[low, low+range)``.
+
+    The one-block flush, trying 0 to 4 bytes in turn: the reference
+    encoder ends every block with it, and
+    :func:`repro.entropy.arith.flush_blocks`, which flushes every block
+    of an image at once, is pinned to it.
+    """
+    top = low + range_
+    for nbytes in range(5):
+        shift = 32 - 8 * nbytes
+        step = 1 << shift
+        value = ((low + step - 1) >> shift) << shift if shift else low
+        if low <= value < top or (value == low == 0):
+            for byte_index in range(nbytes):
+                out.append((value >> (24 - 8 * byte_index)) & 0xFF)
+            return
+    raise AssertionError("flush failed to find an in-interval value")
 
 
 class BinaryArithmeticEncoder:

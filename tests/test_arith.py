@@ -3,12 +3,14 @@ the reference coder in ``tests/oracles.py``."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.entropy.arith import (
     PROB_ONE,
+    flush_blocks,
     quantize_power_of_two,
     quantize_probability,
     quantize_probability_8bit,
@@ -18,6 +20,7 @@ from tests.oracles import (
     BinaryArithmeticEncoder,
     decode_bits,
     encode_bits,
+    flush_interval,
 )
 
 
@@ -174,3 +177,66 @@ def test_adaptive_style_usage():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         encode_bits([0, 1], [100])
+
+
+# ---------------------------------------------------------------------------
+# The array flush against the one-block flush
+
+
+def _flushes(lows, rngs):
+    """Each block's flush bytes from one :func:`flush_blocks` call."""
+    counts, heads = flush_blocks(lows, rngs)
+    assert counts.shape == (len(lows),) and heads.shape == (len(lows), 4)
+    return [bytes(head[:count]) for head, count in zip(heads.tolist(), counts)]
+
+
+def _reference_flush(low, rng):
+    out = bytearray()
+    flush_interval(low, rng, out)
+    return bytes(out)
+
+
+coder_states = st.integers(0, 2**32 - 1).flatmap(
+    lambda low: st.tuples(st.just(low), st.integers(1, 2**32 - low))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coder_states, min_size=1, max_size=12))
+def test_flush_blocks_matches_the_one_block_flush(states):
+    """Every ``(low, rng)`` with ``rng >= 1`` and ``low + rng <= 2**32``
+    flushes to the one-block flush's bytes, however the blocks of one
+    call differ."""
+    lows, rngs = zip(*states)
+    assert _flushes(lows, rngs) == [_reference_flush(*s) for s in states]
+
+
+FLUSH_CASES = {
+    "low 0": (0, 5, b""),
+    "one byte": (0x12345678, 0x10000000, b"\x13"),
+    "two bytes": (0x12345678, 0x00100000, b"\x12\x35"),
+    "three bytes": (0x12345678, 0x1000, b"\x12\x34\x57"),
+    "four bytes": (0x12345678, 1, b"\x12\x34\x56\x78"),
+    # Rounding up would reach 2**32, past a uint32.
+    "top at 2**32, four bytes": (0xFFFFFF01, 0xFF, b"\xff\xff\xff\x01"),
+    "top at 2**32, one byte": (0x80000000, 0x80000000, b"\x80"),
+    "rng 2**16": (0x0001FFFF, 1 << 16, b"\x00\x02"),
+    "rng 2**16, low 0": (0, 1 << 16, b""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUSH_CASES))
+def test_flush_blocks_fixed_cases(name):
+    low, rng, expected = FLUSH_CASES[name]
+    assert _reference_flush(low, rng) == expected
+    assert _flushes([low], [rng]) == [expected]
+
+
+def test_flush_blocks_takes_every_case_in_one_call():
+    lows, rngs, expected = zip(*FLUSH_CASES.values())
+    assert _flushes(np.array(lows, dtype=np.uint32), rngs) == list(expected)
+
+
+def test_flush_blocks_of_no_blocks():
+    counts, heads = flush_blocks([], [])
+    assert counts.shape == (0,) and heads.shape == (0, 4)

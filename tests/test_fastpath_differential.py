@@ -20,14 +20,18 @@ from hypothesis import strategies as st
 
 from repro.baselines import lzss
 from repro.baselines.lzw import lzw_decompress
+from repro.bitstream.fields import word_array
 from repro.bitstream.io import BitReader, BitWriter
 from repro.core.samc.codec import QUANTIZERS, SamcCodec
 from repro.core.samc.model import SamcModel, train_model
+from repro.entropy.arith import flush_blocks
 from repro.fastpath.lz_kernel import lzw_compress_fast, tokenize_fast
 from repro.fastpath.samc_kernel import (
     _MAX_LUT_DEPTH,
     _encode_span,
     _encode_span_obs,
+    stream_specs,
+    walk_program,
 )
 from repro.obs import obs_session
 from repro.resilience.errors import CorruptedStreamError
@@ -339,6 +343,85 @@ def test_model_rejects_out_of_range_probabilities(bad):
     assert info.value.category == "structure"
 
 
+#: Layouts of the walk differential, as ``(word bits, streams, connect
+#: bits)``.  The optimised one is what ``optimize_streams`` chose for
+#: go@0.05 in 40 iterations; its streams skip positions, and the
+#: scrambled one's streams take theirs out of order, so the walk gathers
+#: its bit columns for both.
+WALK_LAYOUTS = {
+    "8-bit words, two connection bits": (8, [range(8)], 2),
+    "16-bit words split 13 + 3": (16, [range(13), range(13, 16)], 1),
+    "64-bit words": (64, [range(i, i + 8) for i in range(0, 64, 8)], 1),
+    "optimised": (32, [
+        (16, 17, 18, 19, 20, 21, 22, 23), (0, 1, 2, 3, 4, 5, 26, 31),
+        (6, 7, 10, 11, 12, 13, 14, 15), (8, 9, 24, 25, 27, 28, 29, 30),
+    ], 1),
+    "scrambled": (16, [(15, 3, 8, 0), (1, 2, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14)], 1),
+    "eight one-bit streams, 12 connection bits": (8, [[i] for i in range(8)], 12),
+}
+
+
+def _distinct_model(width, streams, connect_bits):
+    """A model whose cells, in walk order, hold the probabilities 1, 2,
+    3, ...: each probability names its cell."""
+    contexts = 1 << connect_bits
+    tables, first = [], 1
+    for stream in streams:
+        size = contexts * ((1 << len(stream)) - 1)
+        tables.append(np.arange(first, first + size).reshape(contexts, -1))
+        first += size
+    return SamcModel(width, streams, connect_bits, tables)
+
+
+@pytest.mark.parametrize("n_words", [0, 11], ids=["empty", "short last block"])
+@pytest.mark.parametrize("layout", sorted(WALK_LAYOUTS))
+def test_walk_matches_the_reference_walk(layout, n_words):
+    """Block by block, the walk's bits and the probabilities its cells
+    index are the reference walk's ``(bit, p0)`` sequence, on an empty
+    program and on two blocks of four words and a last one of three.
+    64-bit words go in as the codec's ``int64`` array, whose top bit is
+    the sign, and the others as a list of words."""
+    width, streams, connect_bits = WALK_LAYOUTS[layout]
+    model = _distinct_model(width, streams, connect_bits)
+    rand = random.Random(layout)
+    words = [rand.getrandbits(width) for _ in range(n_words)]
+    given_words = words
+    if width == 64:
+        assert not words or any(word >> 63 for word in words)
+        given_words = word_array(
+            b"".join(word.to_bytes(8, "big") for word in words), 8
+        )
+    walk = walk_program(width, model.specs, connect_bits, given_words, 4)
+    assert walk.bits.dtype == np.uint8 and walk.cells.dtype == np.int32
+    assert walk.bits.shape == walk.cells.shape == (n_words, width)
+    flat = np.concatenate([table.ravel() for table in model.tables])
+    for start in range(0, n_words, 4):
+        expected = []
+        walk_encode(
+            model, words[start : start + 4],
+            lambda bit, p0: expected.append((bit, p0)),
+        )
+        block = slice(start, start + 4)
+        assert list(zip(
+            walk.bits[block].ravel().tolist(),
+            flat[walk.cells[block]].ravel().tolist(),
+        )) == expected
+
+
+def test_walk_cells_at_the_layout_bound():
+    """A layout of exactly ``2**30`` cells, a 30-bit stream and a 1-bit
+    one, walks inside ``int32``: an all-ones word reaches the last cell,
+    whose training count index ``2 * cell + 1`` is ``2**31 - 1``."""
+    words = [0, 2**31 - 1, 0x2AAAAAAA, 0x55555555]
+    walk = walk_program(31, stream_specs(31, [range(30), [30]], 0), 0, words, 2)
+    for word, cells in zip(words, walk.cells.tolist()):
+        prefixes = [word >> (31 - depth) for depth in range(30)]
+        assert cells == [(1 << d) - 1 + p for d, p in enumerate(prefixes)] + [
+            2**30 - 1
+        ]
+    assert walk.cells.max() == 2**30 - 1
+
+
 #: Layouts at the edges of a stream's tree, as ``(word bits, streams)``:
 #: a one-bit stream (a tree that is one node), streams of one and two
 #: bits, narrower than three connection bits, a stream deeper than the
@@ -556,8 +639,9 @@ def test_scalar_encoders_match_reference_at_renormalisation_boundaries(name):
     """At ``rng == 2**16`` with unsettled top bytes the loop stops
     (``rng >= bot``) instead of taking the underflow branch, and at
     ``rng == 2**24`` it does not shift.  There the plain and telemetry
-    scalar encoders emit the reference encoder's bytes, and the
-    telemetry one charges every byte to a bit or to the flush."""
+    scalar encoders, each finished by the array flush, emit the
+    reference encoder's bytes, and the telemetry one charges every
+    renormalisation byte to a bit, so the flush holds the rest."""
     boundary = BOUNDARY_SPANS[name]
     checks = _renormalisation_checks(boundary)
     if name.startswith("rng16"):
@@ -572,11 +656,17 @@ def test_scalar_encoders_match_reference_at_renormalisation_boundaries(name):
     for q in span:
         encoder.encode_bit(int(q < 0), abs(q))
     expected = encoder.finish()
-    assert _encode_span(span) == expected
+
+    def flushed(out, low, rng):
+        counts, heads = flush_blocks([low], [rng])
+        return bytes(out) + heads[0, : counts[0]].tobytes()
+
+    assert flushed(*_encode_span(span)) == expected
     per_label: dict = {}
     labels = [(0, depth) for depth in range(len(span))]
-    payload, flush_bits = _encode_span_obs(span, labels, per_label)
-    assert payload == expected
+    out, low, rng = _encode_span_obs(span, labels, per_label)
+    assert flushed(out, low, rng) == expected
+    flush_bits = 8 * (len(expected) - len(out))
     assert sum(per_label.values()) + flush_bits == 8 * len(expected)
 
 

@@ -21,6 +21,13 @@ class TestConfiguration:
                 streams=[range(i, i + 8) for i in range(0, 72, 8)],
             )
 
+    def test_layout_too_wide_to_count_rejected(self):
+        # One 32-bit stream in two contexts has 2 * (2**32 - 1) cells;
+        # training would ask for 128 GiB of counts.
+        codec = SamcCodec(streams=[range(32)])
+        with pytest.raises(ValueError, match="8589934590 table cells"):
+            codec.compress(bytes(64))
+
     def test_block_must_hold_whole_words(self):
         with pytest.raises(ValueError):
             SamcCodec(word_bits=32, block_size=30)

@@ -11,6 +11,7 @@ from repro.bitstream.fields import chunk_words
 from repro.core.samc.codec import QUANTIZERS
 from repro.core.samc.model import SamcModel, freeze, node_index
 from repro.entropy.arith import quantize_probability
+from repro.fastpath.samc_kernel import stream_specs
 from tests.oracles import (
     MarkovCounts,
     train_block,
@@ -100,6 +101,14 @@ class TestSamcModel:
             _uniform(8, [(0, 1, 2)], 1)  # misses positions 3..7
         with pytest.raises(ValueError):
             _uniform(8, [(0, 1, 2, 3), (3, 4, 5, 6)], 1)  # duplicate 3
+
+    def test_layout_cells_bounded(self):
+        # 2**30 - 1 cells and one more: exactly the bound.
+        assert len(stream_specs(31, [range(30), [30]], 0)) == 2
+        with pytest.raises(ValueError, match="1073741825 table cells"):
+            stream_specs(32, [range(30), [30], [31]], 0)
+        with pytest.raises(ValueError, match="2147483648 table cells"):
+            stream_specs(1, [[0]], 31)
 
     def test_probability_count(self):
         model = _uniform(32, [range(0, 8), range(8, 16),
