@@ -85,20 +85,15 @@ def quantize_power_of_two(p0: float) -> int:
 def flush_blocks(
     low: ArrayLike, range_: ArrayLike
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The flush of every block at once, from its final ``low`` and ``range``.
+    """Flush every block at once from its final ``low`` and ``range``.
 
-    A block ends with the shortest byte prefix of a value in ``[low,
-    low + range)``: the decoder reads zeros past the end of a payload,
-    so the prefix stands for that value padded with zero bytes.  Block
-    ``i``'s prefix is the first ``counts[i]`` bytes of ``heads[i]``.
-    ``counts[i]`` is 0 only when ``low`` is 0; otherwise it is the least
-    ``n`` in 1..4 for which ``low``, rounded up to a multiple of
-    ``2**(32 - 8n)``, lies below ``low + range`` (``n = 4`` rounds
-    nothing, and ``range >= 1``).  A coarser rounding never lands lower,
-    so the ``n`` that fit are exactly those from the least one up.
-    ``heads[i]`` holds that rounded value big-endian.  Every coder state
-    has ``low + range <= 2**32``; the sums are taken in ``uint64``, so
-    rounding up to ``2**32`` cannot wrap.
+    Block ``i`` ends with the first ``counts[i]`` bytes of ``heads[i]``,
+    the shortest prefix of a value in ``[low, low + range)``: the
+    decoder reads zeros past a payload's end.  The count is 0 only when
+    ``low`` is 0; otherwise it is the least ``n`` in 1..4 for which
+    ``low``, rounded up to a multiple of ``2**(32 - 8n)``, lies below
+    ``low + range``, and ``heads`` holds that value big-endian.  The
+    sums are ``uint64``, so rounding up to ``2**32`` cannot wrap.
     """
     low = np.asarray(low, dtype=np.uint64)
     top = low + np.asarray(range_, dtype=np.uint64)

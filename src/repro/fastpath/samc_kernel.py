@@ -183,12 +183,11 @@ class SamcWalk(NamedTuple):
     ``bits`` (``uint8``) and ``cells`` (``int32``) are ``(n_words,
     width)`` matrices in coding order (stream by stream, depth by
     depth).  A cell indexes the model's stream tables laid end to end:
-    the bit stream ``s`` codes at
-    depth ``d`` under context ``c`` after the prefix ``p`` is predicted
-    by cell ``offset[s] + c * nodes[s] + (1 << d) - 1 + p``, where
-    ``offset[s]`` counts the cells of the streams before it.  Training
-    counts the walk and encoding codes it, so a compress computes it
-    once.
+    the bit stream ``s`` codes at depth ``d`` under context ``c`` after
+    the prefix ``p`` is predicted by cell ``offset[s] + c * nodes[s] +
+    (1 << d) - 1 + p``, where ``offset[s]`` counts the cells of the
+    streams before it.  Training counts the walk and encoding codes it,
+    so a compress computes it once.
     """
 
     bits: np.ndarray
@@ -863,21 +862,15 @@ def _encode_blocks_vec(
 
 
 def _flush_spans(coded: List[Tuple[bytearray, int, int]]) -> List[bytes]:
-    """Finish scalar-coded blocks with one :func:`flush_blocks` call.
-
-    ``coded`` holds each block's renormalisation bytes and final
-    ``(low, rng)``, as :func:`_encode_span` returns them; each block's
-    flush bytes are appended to its own.
-    """
+    """Finish scalar-coded blocks, each ``(bytes, low, rng)`` as
+    :func:`_encode_span` returns it, with one :func:`flush_blocks` call."""
     if not coded:
         return []
     outs, lows, rngs = zip(*coded)
     counts, heads = flush_blocks(lows, rngs)
-    payloads = []
     for out, head, count in zip(outs, heads.tolist(), counts.tolist()):
         out += bytes(head[:count])
-        payloads.append(bytes(out))
-    return payloads
+    return [bytes(out) for out in outs]
 
 
 def _encode_span(signed: List[int]) -> Tuple[bytearray, int, int]:
