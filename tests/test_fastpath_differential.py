@@ -347,10 +347,12 @@ def test_model_rejects_out_of_range_probabilities(bad):
 #: bits)``.  The optimised one is what ``optimize_streams`` chose for
 #: go@0.05 in 40 iterations; its streams skip positions, and the
 #: scrambled one's streams take theirs out of order, so the walk gathers
-#: its bit columns for both.
+#: its bit columns for both.  A model admits any word width, and a
+#: 25-bit word is read from the low bits of its four bytes.
 WALK_LAYOUTS = {
     "8-bit words, two connection bits": (8, [range(8)], 2),
     "16-bit words split 13 + 3": (16, [range(13), range(13, 16)], 1),
+    "25-bit words": (25, [range(9), range(9, 17), range(17, 25)], 1),
     "64-bit words": (64, [range(i, i + 8) for i in range(0, 64, 8)], 1),
     "optimised": (32, [
         (16, 17, 18, 19, 20, 21, 22, 23), (0, 1, 2, 3, 4, 5, 26, 31),
